@@ -34,6 +34,15 @@ pub struct DapStats {
     pub switches: usize,
 }
 
+impl std::ops::AddAssign for DapStats {
+    fn add_assign(&mut self, other: DapStats) {
+        self.all_gather_elements += other.all_gather_elements;
+        self.all_to_all_elements += other.all_to_all_elements;
+        self.gathers += other.gathers;
+        self.switches += other.switches;
+    }
+}
+
 impl DapStats {
     /// Total elements sent across both collectives.
     pub fn total_elements(&self) -> usize {

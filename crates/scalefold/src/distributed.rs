@@ -1,7 +1,9 @@
-//! A *functional* data-parallel trainer: real replicas, real gradient
-//! all-reduce (the ring algorithm from `sf_cluster::collective`), real
-//! bucketed clipping — the algorithms the cluster simulator prices, run
-//! for correctness at CPU scale.
+//! The training engine: a *functional* data-parallel trainer with real
+//! replicas, real gradient all-reduce (the ring algorithm from
+//! `sf_cluster::collective`) and global-norm clipping — the algorithms the
+//! cluster simulator prices, run for correctness at CPU scale. Its
+//! [`DataParallelTrainer::train_step`] is the only training step in the
+//! crate: [`crate::Trainer`] is the one-replica case of this engine.
 //!
 //! The key invariants this module demonstrates (and tests):
 //!
@@ -23,8 +25,10 @@ use sf_cluster::collective::all_reduce_tensors;
 use sf_data::featurize::featurize;
 use sf_data::SyntheticDataset;
 use sf_faults::{FaultInjector, FaultPlan};
+use sf_model::loss::LossBreakdown;
 use sf_model::{AlphaFold, AxialCollectives, FeatureBatch, ModelConfig};
-use sf_optim::{FusedAdamSwa, GradBuckets, Grads};
+use sf_optim::{clip_by_global_norm, FusedAdamSwa, Grads};
+use sf_tensor::bf16::Precision;
 use sf_tensor::Tensor;
 
 /// Per-step report of a data-parallel training step.
@@ -52,20 +56,29 @@ pub struct DpStepReport {
     pub skipped: bool,
 }
 
+/// What a step leaves beyond its [`DpStepReport`]: replica 0's loss terms
+/// and predicted coordinates, and the learning rate the step used — the
+/// extra fields of a single-device [`crate::StepReport`].
+pub(crate) struct ReplicaZero {
+    pub(crate) loss: LossBreakdown,
+    pub(crate) coords: Tensor,
+    pub(crate) lr: f32,
+}
+
 /// A `k`-replica data-parallel trainer sharing one model architecture.
 pub struct DataParallelTrainer {
-    cfg: TrainerConfig,
-    model: AlphaFold,
+    pub(crate) cfg: TrainerConfig,
+    pub(crate) model: AlphaFold,
     /// One parameter store per replica (kept deliberately separate so the
     /// divergence invariant is *measured*, not assumed).
-    stores: Vec<ParamStore>,
-    optimizers: Vec<FusedAdamSwa>,
-    step: u64,
+    pub(crate) stores: Vec<ParamStore>,
+    pub(crate) optimizers: Vec<FusedAdamSwa>,
+    pub(crate) step: u64,
     /// Shared DAP executor: replicas run sequentially on a CPU, so one
     /// group serves the whole grid and accumulates total traffic.
     dap_group: Option<DapGroup>,
     dap_comm: DapStats,
-    injector: FaultInjector,
+    pub(crate) injector: FaultInjector,
 }
 
 impl DataParallelTrainer {
@@ -86,8 +99,18 @@ impl DataParallelTrainer {
     /// NaN-gradient faults fire on replica 0 before the all-reduce, so the
     /// poison propagates to every replica's averaged gradients — the
     /// worst-case large-scale failure the skip guard must absorb.
-    pub fn with_faults(cfg: TrainerConfig, ranks: usize, plan: FaultPlan) -> Self {
+    ///
+    /// The configuration is normalized here: `cfg.num_threads > 0` pins
+    /// the `sf-tensor` compute pool, and `cfg.fused_kernels = false`
+    /// switches the model to the composed attention chain.
+    pub fn with_faults(mut cfg: TrainerConfig, ranks: usize, plan: FaultPlan) -> Self {
         assert!(ranks > 0, "need at least one replica");
+        if cfg.num_threads > 0 {
+            sf_tensor::pool::set_num_threads(cfg.num_threads);
+        }
+        if !cfg.fused_kernels {
+            cfg.model.fused_kernels = false;
+        }
         let dap_group = if cfg.dap > 1 {
             if let Err(msg) = DapGroup::validate_config(&cfg.model, cfg.dap) {
                 panic!("{msg}");
@@ -129,44 +152,68 @@ impl DataParallelTrainer {
     }
 
     /// One synchronous data-parallel step: each replica computes gradients
-    /// on its own batch, gradients are ring-all-reduced (mean), bucketed
+    /// on its own batch, gradients are ring-all-reduced (mean), global-norm
     /// clipping applies to the averaged gradients, and every replica takes
     /// the same optimizer step.
     ///
     /// # Panics
     ///
     /// Panics if `batches.len() != ranks` or a batch mismatches the model
-    /// configuration.
+    /// configuration (call [`FeatureBatch::validate`] upstream) — both
+    /// programming errors rather than recoverable conditions.
     pub fn train_step(&mut self, batches: &[FeatureBatch]) -> DpStepReport {
+        self.step_with_outputs(batches).0
+    }
+
+    /// [`DataParallelTrainer::train_step`], also returning replica 0's
+    /// outputs.
+    pub(crate) fn step_with_outputs(
+        &mut self,
+        batches: &[FeatureBatch],
+    ) -> (DpStepReport, ReplicaZero) {
         assert_eq!(batches.len(), self.ranks(), "one batch per replica");
         // Per-replica forward/backward; each replica shards its own sample
         // across the DAP axis (the replicas form the DP axis of the grid).
         let ranks = self.ranks();
         let mut per_rank_grads: Vec<Grads> = Vec::with_capacity(ranks);
         let mut mean_loss = 0.0f32;
-        let model = &self.model;
+        let mut replica_zero = None;
         let dap = self
             .dap_group
             .as_ref()
             .map(|group| group as &dyn AxialCollectives);
         for (store, batch) in self.stores.iter_mut().zip(batches.iter()) {
             let mut g = Graph::new();
-            let out = model
-                .forward_dap(&mut g, store, batch, dap)
-                .expect("forward on validated batch");
-            g.backward(out.loss).expect("scalar loss");
+            let out = {
+                let _fwd = sf_trace::span("forward", "forward");
+                self.model
+                    .forward_dap(&mut g, store, batch, dap)
+                    .expect("forward pass on validated batch")
+            };
+            let grads = {
+                let _bwd = sf_trace::span("backward", "backward");
+                g.backward(out.loss).expect("scalar loss");
+                let mut grads = g.grads_by_name().expect("consistent bindings");
+                // Precision rounding of gradients (bf16 path of §3.4; fp16
+                // shows the NaN failure mode at larger scales).
+                if self.cfg.precision != Precision::F32 {
+                    for grad in grads.values_mut() {
+                        *grad = self.cfg.precision.quantize(grad);
+                    }
+                }
+                grads
+            };
             mean_loss += out.loss_breakdown.total / ranks as f32;
-            per_rank_grads.push(g.grads_by_name().expect("bindings"));
+            per_rank_grads.push(grads);
+            replica_zero.get_or_insert_with(|| (out.loss_breakdown, g.value(out.coords).clone()));
         }
-        let elements_dap = if let Some(group) = &self.dap_group {
-            let step_comm = group.take_stats();
-            self.dap_comm.all_gather_elements += step_comm.all_gather_elements;
-            self.dap_comm.all_to_all_elements += step_comm.all_to_all_elements;
-            self.dap_comm.gathers += step_comm.gathers;
-            self.dap_comm.switches += step_comm.switches;
-            step_comm.total_elements()
-        } else {
-            0
+        let elements_dap = match &self.dap_group {
+            Some(group) => {
+                let step_comm = group.take_stats();
+                self.dap_comm += step_comm;
+                step_comm.total_elements()
+            }
+            None => 0,
         };
         if self.injector.poison_grads_at(self.step) {
             if let Some(grad) = per_rank_grads[0].values_mut().next() {
@@ -178,58 +225,37 @@ impl DataParallelTrainer {
             }
         }
 
-        // Ring all-reduce every gradient tensor across replicas.
-        let names: Vec<String> = per_rank_grads[0].keys().cloned().collect();
-        let mut elements = 0usize;
-        for name in &names {
-            let mut ranks_tensors: Vec<Tensor> = per_rank_grads
-                .iter()
-                .map(|g| g[name].clone())
-                .collect();
-            let stats = all_reduce_tensors(&mut ranks_tensors);
-            elements += stats.elements_sent;
-            for (g, t) in per_rank_grads.iter_mut().zip(ranks_tensors) {
-                g.insert(name.clone(), t);
-            }
-        }
-
-        // Bucketed clipping on the (identical) averaged gradients; unpack
-        // restores the original tensor shapes. A non-finite global norm
-        // (one replica's poison spreads to every replica through the
-        // all-reduce) is surfaced by `clip` with the gradients untouched.
-        let mut buckets = GradBuckets::pack(&per_rank_grads[0], 25 * 1024 * 1024);
-        let grad_norm = buckets.clip(self.cfg.clip_norm);
-        let finite = mean_loss.is_finite() && grad_norm.is_finite();
+        let opt_span = sf_trace::span("optimizer", "optimizer");
+        let (mut grads, elements_all_reduced) = all_reduce_mean(per_rank_grads);
+        // Non-finite guard: a NaN/Inf loss or gradient (the fp16 blow-up
+        // mode at scale; one replica's poison spreads to every replica
+        // through the all-reduce) skips the optimizer update on every
+        // replica instead of destroying the weights. The step still counts
+        // so schedules stay aligned. `clip_by_global_norm` surfaces a
+        // non-finite norm with the gradients untouched — no elementwise
+        // pre-scan needed.
+        let lr = self.cfg.schedule.lr_at(self.step);
+        let norm = clip_by_global_norm(&mut grads, self.cfg.clip_norm);
+        let finite = mean_loss.is_finite() && norm.is_finite();
         if finite {
-            let clipped = buckets.unpack();
-            for grads in per_rank_grads.iter_mut() {
-                for (name, t) in &clipped {
-                    grads.insert(name.clone(), t.clone());
-                }
-            }
-
-            // Identical optimizer step on every replica.
-            let lr = self.cfg.schedule.lr_at(self.step);
-            for ((store, opt), grads) in self
-                .stores
-                .iter_mut()
-                .zip(self.optimizers.iter_mut())
-                .zip(per_rank_grads.iter())
-            {
-                opt.step(store, grads, lr);
+            for (store, opt) in self.stores.iter_mut().zip(self.optimizers.iter_mut()) {
+                opt.step(store, &grads, lr);
             }
         }
+        drop(opt_span);
         self.step += 1;
 
-        DpStepReport {
+        let (loss, coords) = replica_zero.expect("at least one replica");
+        let report = DpStepReport {
             step: self.step,
             mean_loss,
-            grad_norm: if finite { grad_norm } else { f32::NAN },
-            elements_all_reduced: elements,
+            grad_norm: if finite { norm } else { f32::NAN },
+            elements_all_reduced,
             elements_dap,
             max_replica_divergence: self.max_divergence(),
             skipped: !finite,
-        }
+        };
+        (report, ReplicaZero { loss, coords, lr })
     }
 
     /// Trains `steps` steps on deterministic synthetic batches (replica `r`
@@ -267,6 +293,31 @@ impl DataParallelTrainer {
     }
 }
 
+/// Ring-all-reduces (mean) every gradient tensor across the replicas'
+/// maps and returns the reduced map once, with the elements sent. One
+/// replica has nothing to reduce: its map passes through untouched.
+fn all_reduce_mean(mut per_rank: Vec<Grads>) -> (Grads, usize) {
+    if per_rank.len() == 1 {
+        return (per_rank.pop().expect("one replica"), 0);
+    }
+    let names: Vec<String> = per_rank[0].keys().cloned().collect();
+    let mut reduced = Grads::new();
+    let mut elements = 0;
+    for name in names {
+        let mut tensors: Vec<Tensor> = per_rank
+            .iter_mut()
+            .map(|grads| {
+                grads
+                    .remove(&name)
+                    .expect("every replica binds the same parameters")
+            })
+            .collect();
+        elements += all_reduce_tensors(&mut tensors).elements_sent;
+        reduced.insert(name, tensors.swap_remove(0));
+    }
+    (reduced, elements)
+}
+
 /// A ModelConfig small enough for multi-replica CPU tests.
 pub fn dp_test_model() -> ModelConfig {
     let mut cfg = ModelConfig::tiny();
@@ -283,6 +334,7 @@ pub fn dp_test_model() -> ModelConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sf_optim::GradBuckets;
 
     fn dp_cfg() -> TrainerConfig {
         let mut cfg = TrainerConfig::tiny();
@@ -385,6 +437,43 @@ mod tests {
         assert_eq!(reports[0].elements_dap, 0);
     }
 
+    /// A one-replica grid is the single-device `Trainer`: the same loss,
+    /// grad norm and final weights, bit for bit, with fused kernels on and
+    /// off and at f32 and bf16 gradient precision.
+    #[test]
+    fn single_replica_dp_equals_trainer_bitwise() {
+        let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for fused in [true, false] {
+            for precision in [Precision::F32, Precision::Bf16] {
+                let mut cfg = dp_cfg();
+                cfg.fused_kernels = fused;
+                cfg.precision = precision;
+                let ds = SyntheticDataset::new(cfg.seed ^ 0xD0, 64);
+                let batches: Vec<FeatureBatch> = (0..4)
+                    .map(|i| featurize(&ds.record(i), &cfg.model, cfg.seed ^ i as u64))
+                    .collect();
+                let mut trainer = crate::Trainer::new(cfg.clone());
+                let mut dp = DataParallelTrainer::new(cfg, 1);
+                for (i, batch) in batches.iter().enumerate() {
+                    let t = trainer.train_step(batch);
+                    let d = dp.train_step(std::slice::from_ref(batch));
+                    let case = format!("fused={fused} {precision:?} step {i}");
+                    assert_eq!(t.loss.to_bits(), d.mean_loss.to_bits(), "{case}: loss");
+                    assert_eq!(
+                        t.grad_norm.to_bits(),
+                        d.grad_norm.to_bits(),
+                        "{case}: grad norm"
+                    );
+                }
+                assert_eq!(trainer.store().len(), dp.store(0).len());
+                for (name, p) in trainer.store().iter() {
+                    let q = dp.store(0).get(name).expect("same parameters");
+                    assert_eq!(bits(p), bits(q), "fused={fused} {precision:?}: {name}");
+                }
+            }
+        }
+    }
+
     /// A DP-2 × DAP-2 grid trains like plain DP-2: the activation sharding
     /// is numerically transparent, replicas stay synchronized, and the DAP
     /// traffic is exactly `replicas × analytic volume` per step.
@@ -418,7 +507,7 @@ mod tests {
     }
 
     /// One replica's NaN gradient spreads to every replica through the
-    /// all-reduce; the bucketed clip surfaces the non-finite norm and the
+    /// all-reduce; the global-norm clip surfaces the non-finite norm and the
     /// whole grid skips the update together, leaving weights and synchrony
     /// intact.
     #[test]

@@ -10,8 +10,9 @@
 //! passes CRC verification. Faults can be injected deterministically with
 //! an `sf_faults::FaultPlan` to drill all of this end to end.
 
+use crate::dap::DapStats;
+use crate::distributed::DataParallelTrainer;
 use rand::rngs::StdRng;
-use crate::dap::{DapGroup, DapStats};
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use sf_autograd::{CheckpointError, Graph, ParamStore};
@@ -19,12 +20,10 @@ use sf_data::featurize::featurize;
 use sf_data::loader::{BlockingLoader, Dataset, LoaderConfig, LoaderError, NonBlockingPipeline};
 use sf_data::SyntheticDataset;
 use sf_faults::{FaultInjector, FaultPlan, FaultyDataset};
-use sf_model::loss::LossBreakdown;
 use sf_model::metrics::lddt_ca;
-use sf_model::{AlphaFold, AxialCollectives, FeatureBatch, ModelConfig};
-use sf_optim::{clip_by_global_norm, AdamConfig, FusedAdamSwa, LrSchedule};
+use sf_model::{AlphaFold, FeatureBatch, ModelConfig};
+use sf_optim::{AdamConfig, LrSchedule};
 use sf_tensor::bf16::Precision;
-use sf_tensor::Tensor;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -217,8 +216,9 @@ impl Dataset for FeaturizingDataset {
     }
 }
 
-/// The real trainer: owns parameters, optimizer state, and the data
-/// pipeline.
+/// The real trainer: the one-replica case of [`DataParallelTrainer`],
+/// plus what only a single device has — the data pipeline, the recovery
+/// log, checkpoints and evaluation.
 ///
 /// # Example
 ///
@@ -234,16 +234,9 @@ impl Dataset for FeaturizingDataset {
 /// assert!(reports.iter().all(|r| r.loss.is_finite()));
 /// ```
 pub struct Trainer {
-    cfg: TrainerConfig,
-    model: AlphaFold,
-    store: ParamStore,
-    optimizer: FusedAdamSwa,
-    step: u64,
+    engine: DataParallelTrainer,
     rng: StdRng,
-    injector: FaultInjector,
     recovery: Vec<RecoveryEvent>,
-    dap_group: Option<DapGroup>,
-    dap_comm: DapStats,
 }
 
 impl Trainer {
@@ -261,52 +254,33 @@ impl Trainer {
     ///
     /// Panics if `cfg.dap > 1` and the model's axial dimensions do not
     /// divide evenly across the DAP ranks (see
-    /// [`DapGroup::validate_config`]).
-    pub fn with_faults(mut cfg: TrainerConfig, plan: FaultPlan) -> Self {
-        if cfg.num_threads > 0 {
-            sf_tensor::pool::set_num_threads(cfg.num_threads);
-        }
-        if !cfg.fused_kernels {
-            cfg.model.fused_kernels = false;
-        }
-        let dap_group = if cfg.dap > 1 {
-            if let Err(msg) = DapGroup::validate_config(&cfg.model, cfg.dap) {
-                panic!("{msg}");
-            }
-            Some(DapGroup::new(cfg.dap))
-        } else {
-            None
-        };
-        let model = AlphaFold::new(cfg.model.clone());
-        let optimizer = FusedAdamSwa::new(cfg.adam, cfg.swa_decay);
+    /// [`crate::DapGroup::validate_config`]).
+    pub fn with_faults(cfg: TrainerConfig, plan: FaultPlan) -> Self {
         let rng = StdRng::seed_from_u64(cfg.seed);
         Trainer {
-            model,
-            store: ParamStore::new(),
-            optimizer,
-            step: 0,
+            engine: DataParallelTrainer::with_faults(cfg, 1, plan),
             rng,
-            injector: FaultInjector::new(plan),
             recovery: Vec::new(),
-            dap_group,
-            dap_comm: DapStats::default(),
-            cfg,
         }
+    }
+
+    fn cfg(&self) -> &TrainerConfig {
+        &self.engine.cfg
     }
 
     /// The parameter store (inspect or checkpoint weights).
     pub fn store(&self) -> &ParamStore {
-        &self.store
+        self.engine.store(0)
     }
 
     /// Steps taken.
     pub fn step_count(&self) -> u64 {
-        self.step
+        self.engine.step
     }
 
     /// The fault injector driving this trainer (no-op for [`Trainer::new`]).
     pub fn injector(&self) -> &FaultInjector {
-        &self.injector
+        &self.engine.injector
     }
 
     /// Every fault survived so far, in order.
@@ -318,7 +292,7 @@ impl Trainer {
     /// `cfg.dap <= 1`). One step's volume is
     /// [`crate::dap::analytic_comm_volume`].
     pub fn dap_comm(&self) -> DapStats {
-        self.dap_comm
+        self.engine.dap_comm()
     }
 
     /// Runs one optimization step on `batch`.
@@ -329,81 +303,23 @@ impl Trainer {
     /// [`FeatureBatch::validate`] upstream) or an internal op fails — both
     /// indicate programming errors rather than recoverable conditions.
     pub fn train_step(&mut self, batch: &FeatureBatch) -> StepReport {
-        let mut g = Graph::new();
-        let out = {
-            let _fwd = sf_trace::span("forward", "forward");
-            let dap = self
-                .dap_group
-                .as_ref()
-                .map(|group| group as &dyn AxialCollectives);
-            self.model
-                .forward_dap(&mut g, &mut self.store, batch, dap)
-                .expect("forward pass on validated batch")
-        };
-        if let Some(group) = &self.dap_group {
-            let step_comm = group.take_stats();
-            self.dap_comm.all_gather_elements += step_comm.all_gather_elements;
-            self.dap_comm.all_to_all_elements += step_comm.all_to_all_elements;
-            self.dap_comm.gathers += step_comm.gathers;
-            self.dap_comm.switches += step_comm.switches;
+        let (report, out) = self.engine.step_with_outputs(std::slice::from_ref(batch));
+        if report.skipped {
+            self.recovery
+                .push(RecoveryEvent::NonFiniteSkipped { step: report.step });
         }
-        let mut grads = {
-            let _bwd = sf_trace::span("backward", "backward");
-            g.backward(out.loss).expect("scalar loss");
-            let mut grads = g.grads_by_name().expect("consistent bindings");
-            // Precision rounding of gradients (bf16 path of §3.4; fp16
-            // shows the NaN failure mode at larger scales).
-            if self.cfg.precision != Precision::F32 {
-                for grad in grads.values_mut() {
-                    *grad = self.cfg.precision.quantize(grad);
-                }
-            }
-            grads
-        };
-        if self.injector.poison_grads_at(self.step) {
-            if let Some(grad) = grads.values_mut().next() {
-                let mut data = grad.data().to_vec();
-                if let Some(first) = data.first_mut() {
-                    *first = f32::NAN;
-                }
-                *grad = Tensor::from_vec(data, grad.dims()).expect("same shape");
-            }
-        }
-        // Non-finite guard: a NaN/Inf loss or gradient (the fp16 blow-up
-        // mode at scale) skips the optimizer update instead of destroying
-        // the weights. The step still counts so schedules stay aligned
-        // across data-parallel replicas. A poisoned gradient surfaces as a
-        // non-finite global norm from `clip_by_global_norm`, which leaves
-        // the gradients untouched in that case — no elementwise pre-scan
-        // needed.
-        let _opt = sf_trace::span("optimizer", "optimizer");
-        let lr = self.cfg.schedule.lr_at(self.step);
-        let norm = clip_by_global_norm(&mut grads, self.cfg.clip_norm);
-        let finite = out.loss_breakdown.total.is_finite() && norm.is_finite();
-        let grad_norm = if finite {
-            self.optimizer.step(&mut self.store, &grads, lr);
-            norm
-        } else {
-            self.recovery.push(RecoveryEvent::NonFiniteSkipped {
-                step: self.step + 1,
-            });
-            f32::NAN
-        };
-        drop(_opt);
         let lddt = {
             let _metric = sf_trace::span("eval", "lddt");
-            lddt_ca(g.value(out.coords), &batch.true_coords, &batch.residue_mask)
+            lddt_ca(&out.coords, &batch.true_coords, &batch.residue_mask)
         };
-        let LossBreakdown { total, distance, .. } = out.loss_breakdown;
-        self.step += 1;
         StepReport {
-            step: self.step,
-            loss: total,
-            distance_loss: distance,
-            grad_norm,
+            step: report.step,
+            loss: out.loss.total,
+            distance_loss: out.loss.distance,
+            grad_norm: report.grad_norm,
             lddt,
-            lr,
-            skipped: !finite,
+            lr: out.lr,
+            skipped: report.skipped,
         }
     }
 
@@ -414,22 +330,23 @@ impl Trainer {
     /// panicking is recorded in [`Trainer::recovery_log`] and skipped, and
     /// training continues on the remaining samples.
     pub fn train(&mut self, steps: u64) -> Vec<StepReport> {
+        let cfg = self.cfg().clone();
         let dataset = Arc::new(FaultyDataset::new(
             FeaturizingDataset {
-                records: SyntheticDataset::new(self.cfg.seed ^ 0xDA7A, self.cfg.dataset_len),
-                cfg: self.cfg.model.clone(),
-                seed: self.cfg.seed,
+                records: SyntheticDataset::new(cfg.seed ^ 0xDA7A, cfg.dataset_len),
+                cfg: cfg.model.clone(),
+                seed: cfg.seed,
             },
-            self.injector.clone(),
+            self.injector().clone(),
         ));
         let mut reports = Vec::with_capacity(steps as usize);
         'outer: loop {
             let epoch = self.rng.gen::<u64>();
-            let order = SyntheticDataset::new(self.cfg.seed ^ 0xDA7A, self.cfg.dataset_len)
-                .epoch_order(epoch);
-            let loader_cfg = LoaderConfig::with_workers(self.cfg.loader_workers);
+            let order =
+                SyntheticDataset::new(cfg.seed ^ 0xDA7A, cfg.dataset_len).epoch_order(epoch);
+            let loader_cfg = LoaderConfig::with_workers(cfg.loader_workers);
             type BatchItem = Result<(usize, FeatureBatch), LoaderError>;
-            let mut loader: Box<dyn Iterator<Item = BatchItem>> = match self.cfg.loader {
+            let mut loader: Box<dyn Iterator<Item = BatchItem>> = match cfg.loader {
                 LoaderKind::NonBlocking => Box::new(NonBlockingPipeline::new(
                     Arc::clone(&dataset),
                     order,
@@ -444,7 +361,8 @@ impl Trainer {
                 // One umbrella span per optimizer step, covering the data
                 // wait (recorded by the loader inside `next()`) and the
                 // train phases — the unit the phase report attributes.
-                let step_span = sf_trace::span("step", "step").arg("step", (self.step + 1) as f64);
+                let step_span =
+                    sf_trace::span("step", "step").arg("step", (self.step_count() + 1) as f64);
                 let Some(item) = loader.next() else {
                     step_span.cancel(); // end-of-epoch probe, not a step
                     break;
@@ -484,7 +402,7 @@ impl Trainer {
         path: impl AsRef<std::path::Path>,
     ) -> Result<(), sf_autograd::CheckpointError> {
         let _ckpt = sf_trace::span("checkpoint", "save");
-        self.store.save_file(path)
+        self.store().save_file(path)
     }
 
     /// Restores weights from a checkpoint produced by
@@ -500,7 +418,7 @@ impl Trainer {
         &mut self,
         path: impl AsRef<std::path::Path>,
     ) -> Result<(), sf_autograd::CheckpointError> {
-        self.store = ParamStore::load_file(path)?;
+        self.engine.stores[0] = ParamStore::load_file(path)?;
         Ok(())
     }
 
@@ -513,11 +431,12 @@ impl Trainer {
     ///
     /// Returns a [`CheckpointError`] on I/O failure.
     pub fn save_checkpoint_step(&self, dir: impl AsRef<Path>) -> Result<PathBuf, CheckpointError> {
-        let _ckpt = sf_trace::span("checkpoint", "save_step").arg("step", self.step as f64);
+        let step = self.step_count();
+        let _ckpt = sf_trace::span("checkpoint", "save_step").arg("step", step as f64);
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir).map_err(CheckpointError::Io)?;
-        let path = dir.join(format!("ckpt-{:08}.sfck", self.step));
-        self.store.save_file(&path)?;
+        let path = dir.join(format!("ckpt-{step:08}.sfck"));
+        self.store().save_file(&path)?;
         Ok(path)
     }
 
@@ -541,9 +460,9 @@ impl Trainer {
         let Some(latest) = ParamStore::load_latest_valid(dir)? else {
             return Ok(None);
         };
-        self.store = latest.store;
+        self.engine.stores[0] = latest.store;
         if let Some(step) = latest.step {
-            self.step = step;
+            self.engine.step = step;
         }
         self.recovery.push(RecoveryEvent::Resumed {
             path: latest.path.clone(),
@@ -561,10 +480,7 @@ impl Trainer {
     /// data into the CPU DRAM instead of disk"): featurizes the held-out
     /// samples once, so every evaluation pass skips data preparation.
     pub fn build_eval_cache(&self, n: usize) -> Vec<FeatureBatch> {
-        let eval_set = SyntheticDataset::new(self.cfg.seed ^ 0xE7A1, n.max(1));
-        (0..n.max(1))
-            .map(|i| featurize(&eval_set.record(i), &self.cfg.model, 0xE7A1 ^ i as u64))
-            .collect()
+        eval_batches(&self.cfg().model, self.cfg().seed, n)
     }
 
     /// Evaluates against a pre-built cache ([`Trainer::build_eval_cache`]).
@@ -572,71 +488,61 @@ impl Trainer {
     /// only the per-pass featurization cost disappears.
     pub fn evaluate_cached(&self, cache: &[FeatureBatch]) -> f32 {
         let _eval = sf_trace::span("eval", "evaluate_cached").arg("samples", cache.len() as f64);
-        let mut store = self.optimizer.swa_store();
-        if store.is_empty() {
-            store = self.store.clone();
-        }
-        let mut total = 0.0f32;
-        for batch in cache {
-            let mut g = Graph::new();
-            let out = self
-                .model
-                .forward(&mut g, &mut store, batch)
-                .expect("forward pass on cached eval batch");
-            total += lddt_ca(g.value(out.coords), &batch.true_coords, &batch.residue_mask);
-        }
-        total / cache.len().max(1) as f32
+        mean_lddt(&self.engine.model, self.eval_store(), cache)
     }
 
     /// Asynchronous evaluation (§3.4): snapshots the SWA weights and runs
-    /// the evaluation pass on a **separate thread**, so training can
-    /// continue immediately — the functional analogue of offloading
-    /// evaluation to dedicated nodes. Join the handle for the score.
+    /// the evaluation pass — featurization included — on a **separate
+    /// thread**, so training can continue immediately — the functional
+    /// analogue of offloading evaluation to dedicated nodes. Join the
+    /// handle for the score.
     pub fn evaluate_async(&self, n: usize) -> std::thread::JoinHandle<f32> {
-        let mut store = self.optimizer.swa_store();
-        if store.is_empty() {
-            store = self.store.clone();
-        }
-        let model_cfg = self.cfg.model.clone();
-        let seed = self.cfg.seed;
+        let store = self.eval_store();
+        let model = self.engine.model.clone();
+        let seed = self.cfg().seed;
         std::thread::spawn(move || {
             let _eval = sf_trace::span("eval", "evaluate_async").arg("samples", n as f64);
-            let model = AlphaFold::new(model_cfg.clone());
-            let eval_set = SyntheticDataset::new(seed ^ 0xE7A1, n.max(1));
-            let mut total = 0.0f32;
-            for i in 0..n.max(1) {
-                let batch = featurize(&eval_set.record(i), &model_cfg, 0xE7A1 ^ i as u64);
-                let mut g = Graph::new();
-                let out = model
-                    .forward(&mut g, &mut store, &batch)
-                    .expect("forward pass on synthetic eval batch");
-                total += lddt_ca(g.value(out.coords), &batch.true_coords, &batch.residue_mask);
-            }
-            total / n.max(1) as f32
+            mean_lddt(&model, store, &eval_batches(model.config(), seed, n))
         })
     }
 
     /// Evaluates mean lDDT-Cα over `n` held-out samples using the
     /// SWA-averaged weights (as the MLPerf recipe evaluates).
     pub fn evaluate(&self, n: usize) -> f32 {
-        let _eval = sf_trace::span("eval", "evaluate").arg("samples", n as f64);
-        let mut store = self.optimizer.swa_store();
-        if store.is_empty() {
-            store = self.store.clone();
-        }
-        let eval_set = SyntheticDataset::new(self.cfg.seed ^ 0xE7A1, n.max(1));
-        let mut total = 0.0f32;
-        for i in 0..n.max(1) {
-            let batch = featurize(&eval_set.record(i), &self.cfg.model, 0xE7A1 ^ i as u64);
-            let mut g = Graph::new();
-            let out = self
-                .model
-                .forward(&mut g, &mut store, &batch)
-                .expect("forward pass on synthetic eval batch");
-            total += lddt_ca(g.value(out.coords), &batch.true_coords, &batch.residue_mask);
-        }
-        total / n.max(1) as f32
+        self.evaluate_cached(&self.build_eval_cache(n))
     }
+
+    /// The weights evaluation runs on: the SWA average, or the live
+    /// weights before the first optimizer step.
+    fn eval_store(&self) -> ParamStore {
+        let store = self.engine.optimizers[0].swa_store();
+        if store.is_empty() {
+            self.store().clone()
+        } else {
+            store
+        }
+    }
+}
+
+/// The held-out evaluation samples: `n` (at least one) featurized records.
+fn eval_batches(model: &ModelConfig, seed: u64, n: usize) -> Vec<FeatureBatch> {
+    let eval_set = SyntheticDataset::new(seed ^ 0xE7A1, n.max(1));
+    (0..n.max(1))
+        .map(|i| featurize(&eval_set.record(i), model, 0xE7A1 ^ i as u64))
+        .collect()
+}
+
+/// Mean lDDT-Cα of `model` with weights `store` over `batches`.
+fn mean_lddt(model: &AlphaFold, mut store: ParamStore, batches: &[FeatureBatch]) -> f32 {
+    let mut total = 0.0f32;
+    for batch in batches {
+        let mut g = Graph::new();
+        let out = model
+            .forward(&mut g, &mut store, batch)
+            .expect("forward pass on eval batch");
+        total += lddt_ca(g.value(out.coords), &batch.true_coords, &batch.residue_mask);
+    }
+    total / batches.len().max(1) as f32
 }
 
 #[cfg(test)]
@@ -658,7 +564,7 @@ mod tests {
     fn single_step_produces_finite_report() {
         let mut t = Trainer::new(fast_cfg());
         let ds = SyntheticDataset::new(1, 4);
-        let batch = featurize(&ds.record(0), &t.cfg.model.clone(), 1);
+        let batch = featurize(&ds.record(0), &t.cfg().model.clone(), 1);
         let r = t.train_step(&batch);
         assert!(r.loss.is_finite());
         assert!(r.grad_norm > 0.0);
@@ -670,7 +576,7 @@ mod tests {
     fn loss_decreases_on_repeated_batch() {
         let mut t = Trainer::new(fast_cfg());
         let ds = SyntheticDataset::new(2, 4);
-        let cfg = t.cfg.model.clone();
+        let cfg = t.cfg().model.clone();
         let batch = featurize(&ds.record(0), &cfg, 2);
         let first = t.train_step(&batch).loss;
         let mut last = first;
@@ -783,13 +689,13 @@ mod tests {
         let mut fresh = Trainer::new(fast_cfg());
         fresh.load_checkpoint(&path).expect("load");
         let ds = SyntheticDataset::new(99, 2);
-        let batch = featurize(&ds.record(0), &fresh.cfg.model.clone(), 99);
+        let batch = featurize(&ds.record(0), &fresh.cfg().model.clone(), 99);
         let mut g1 = sf_autograd::Graph::new();
-        let model = sf_model::AlphaFold::new(t.cfg.model.clone());
-        let o1 = model.forward(&mut g1, &mut t.store.clone(), &batch).expect("fwd");
+        let model = sf_model::AlphaFold::new(t.cfg().model.clone());
+        let o1 = model.forward(&mut g1, &mut t.store().clone(), &batch).expect("fwd");
         let mut g2 = sf_autograd::Graph::new();
         let o2 = model
-            .forward(&mut g2, &mut fresh.store.clone(), &batch)
+            .forward(&mut g2, &mut fresh.store().clone(), &batch)
             .expect("fwd");
         assert_eq!(o1.loss_breakdown.total, o2.loss_breakdown.total);
         let _ = std::fs::remove_file(&path);

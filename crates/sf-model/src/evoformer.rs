@@ -26,7 +26,7 @@
 //! every thread count, so Evoformer outputs do not depend on parallelism.
 
 use crate::dap::{dap_all_gather, dap_axis_switch, dap_scatter, AxialCollectives};
-use crate::linear::{batched_apply, layer_norm, Linear};
+use crate::linear::{batched_apply, layer_norm, name_seed, Linear};
 use sf_autograd::{Graph, ParamStore, Result, Var};
 
 /// Channel dimensions for one Evoformer block instance (the main stack, the
@@ -337,7 +337,7 @@ fn dropout_residual_ranked(
     update: Var,
 ) -> Result<Var> {
     let update = if dims.dropout > 0.0 {
-        let seed = seed_from(prefix) ^ (rank as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let seed = name_seed(prefix) ^ (rank as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         g.dropout(update, dims.dropout, seed)?
     } else {
         update
@@ -427,20 +427,11 @@ fn dropout_residual(
     update: Var,
 ) -> Result<Var> {
     let update = if dims.dropout > 0.0 {
-        g.dropout(update, dims.dropout, seed_from(prefix))?
+        g.dropout(update, dims.dropout, name_seed(prefix))?
     } else {
         update
     };
     g.add(residual, update)
-}
-
-fn seed_from(prefix: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in prefix.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 /// Module 1: MSA row-wise gated self-attention with pair bias.
@@ -524,15 +515,10 @@ pub fn msa_global_column_attention(
     let outs = batched_apply(g, store, &[&q_proj, &k_proj, &v_proj, &gate_proj], m_ln)?;
     let (q, k, v, gate) = (outs[0], outs[1], outs[2], outs[3]);
 
-    // Global query: mean over the sequence axis -> one query per column.
+    // Global query: mean over the sequence axis -> one query per column,
+    // laid out [R, hd] -> [R, heads, d] -> [R, heads, 1, d].
     let q_mean = g.mean_axis(q, 0)?; // [R, hd]
     let qh = {
-        let r1 = g.reshape(q_mean, &[r, heads, 1, dims.c_hidden_msa])?;
-        g.permute(r1, &[0, 2, 1, 3])? // -> [R, 1, heads, d]? need [R, heads, 1, d]
-    };
-    // Fix layout: [R, hd] -> [R, heads, d] -> [R, heads, 1, d].
-    let qh = {
-        let _ = qh;
         let r1 = g.reshape(q_mean, &[r, heads, dims.c_hidden_msa])?;
         g.reshape(r1, &[r, heads, 1, dims.c_hidden_msa])?
     };
@@ -592,7 +578,7 @@ pub fn transition_checkpointed(
     let w1_name = format!("{prefix}.fc1.weight");
     let w1 = g.use_param_or_init(store, &w1_name, {
         let n = w1_name.clone();
-        move || sf_tensor::Tensor::lecun_normal(&[c * factor, c], c, fnv(&n))
+        move || sf_tensor::Tensor::lecun_normal(&[c * factor, c], c, name_seed(&n))
     });
     let b1 = g.use_param_or_init(store, &format!("{prefix}.fc1.bias"), || {
         sf_tensor::Tensor::zeros(&[c * factor])
@@ -600,7 +586,7 @@ pub fn transition_checkpointed(
     let w2_name = format!("{prefix}.fc2.weight");
     let w2 = g.use_param_or_init(store, &w2_name, {
         let n = w2_name.clone();
-        move || sf_tensor::Tensor::lecun_normal(&[c, c * factor], c * factor, fnv(&n))
+        move || sf_tensor::Tensor::lecun_normal(&[c, c * factor], c * factor, name_seed(&n))
     });
     let b2 = g.use_param_or_init(store, &format!("{prefix}.fc2.bias"), || {
         sf_tensor::Tensor::zeros(&[c])
@@ -619,18 +605,6 @@ pub fn transition_checkpointed(
         let o = sub.add(o0, b2)?;
         sub.add(x, o)
     })
-}
-
-/// FNV-1a hash used for per-name deterministic initialization (matches
-/// `crate::linear`'s seeding so checkpointed and plain transitions
-/// initialize identically).
-fn fnv(name: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in name.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 /// Module 4: outer product mean — the MSA→pair communication channel.
@@ -675,7 +649,6 @@ pub fn triangle_multiplication(
     outgoing: bool,
 ) -> Result<Var> {
     let c = dims.c_hidden_mul;
-    let r = g.value(z).dims()[0];
     let z_ln = layer_norm(g, store, &format!("{prefix}.ln_in"), dims.c_z, z)?;
     let gated_proj = |g: &mut Graph, store: &mut ParamStore, which: &str| -> Result<Var> {
         let p = Linear::new(format!("{prefix}.{which}_proj"), dims.c_z, c).apply(g, store, z_ln)?;
@@ -698,7 +671,6 @@ pub fn triangle_multiplication(
         g.matmul(at, bc)?
     };
     let back = g.permute(prod, &[1, 2, 0])?; // [R, R, c]
-    let _ = r;
     let ln_out = layer_norm(g, store, &format!("{prefix}.ln_out"), c, back)?;
     let proj = Linear::new(format!("{prefix}.out"), c, dims.c_z).apply(g, store, ln_out)?;
     let out_gate =

@@ -4,9 +4,9 @@
 use sf_autograd::{Graph, ParamStore, Result, Var};
 use sf_tensor::Tensor;
 
-/// Splits a seed deterministically per parameter name.
-fn name_seed(name: &str) -> u64 {
-    // FNV-1a over the name: stable across runs and platforms.
+/// FNV-1a over `name`: a per-name seed, stable across runs and platforms,
+/// for deterministic parameter initialization and dropout masks.
+pub(crate) fn name_seed(name: &str) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
     for b in name.as_bytes() {
         h ^= *b as u64;
