@@ -87,7 +87,9 @@ pub struct DapGroup {
 }
 
 impl DapGroup {
-    /// Creates a group of `ranks` devices (0 is normalized to 1 = off).
+    /// Creates a group of `ranks` devices (0 is normalized to 1). A 1-rank
+    /// group is the unsharded model and never communicates: at one rank
+    /// the tape's gathers and axis switches never call the executor.
     pub fn new(ranks: usize) -> Self {
         DapGroup {
             ranks: ranks.max(1),

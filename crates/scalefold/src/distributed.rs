@@ -75,8 +75,9 @@ pub struct DataParallelTrainer {
     pub(crate) optimizers: Vec<FusedAdamSwa>,
     pub(crate) step: u64,
     /// Shared DAP executor: replicas run sequentially on a CPU, so one
-    /// group serves the whole grid and accumulates total traffic.
-    dap_group: Option<DapGroup>,
+    /// group serves the whole grid and accumulates total traffic. At
+    /// `cfg.dap <= 1` it is the 1-rank group, which never communicates.
+    dap_group: DapGroup,
     dap_comm: DapStats,
     pub(crate) injector: FaultInjector,
 }
@@ -111,14 +112,9 @@ impl DataParallelTrainer {
         if !cfg.fused_kernels {
             cfg.model.fused_kernels = false;
         }
-        let dap_group = if cfg.dap > 1 {
-            if let Err(msg) = DapGroup::validate_config(&cfg.model, cfg.dap) {
-                panic!("{msg}");
-            }
-            Some(DapGroup::new(cfg.dap))
-        } else {
-            None
-        };
+        if let Err(msg) = DapGroup::validate_config(&cfg.model, cfg.dap) {
+            panic!("{msg}");
+        }
         let model = AlphaFold::new(cfg.model.clone());
         let optimizers = (0..ranks)
             .map(|_| FusedAdamSwa::new(cfg.adam, cfg.swa_decay))
@@ -128,7 +124,7 @@ impl DataParallelTrainer {
             stores: vec![ParamStore::new(); ranks],
             optimizers,
             step: 0,
-            dap_group,
+            dap_group: DapGroup::new(cfg.dap),
             dap_comm: DapStats::default(),
             injector: FaultInjector::new(plan),
             cfg,
@@ -178,16 +174,13 @@ impl DataParallelTrainer {
         let mut per_rank_grads: Vec<Grads> = Vec::with_capacity(ranks);
         let mut mean_loss = 0.0f32;
         let mut replica_zero = None;
-        let dap = self
-            .dap_group
-            .as_ref()
-            .map(|group| group as &dyn AxialCollectives);
+        let dap: &dyn AxialCollectives = &self.dap_group;
         for (store, batch) in self.stores.iter_mut().zip(batches.iter()) {
             let mut g = Graph::new();
             let out = {
                 let _fwd = sf_trace::span("forward", "forward");
                 self.model
-                    .forward_dap(&mut g, store, batch, dap)
+                    .forward_dap(&mut g, store, batch, Some(dap))
                     .expect("forward pass on validated batch")
             };
             let grads = {
@@ -207,14 +200,8 @@ impl DataParallelTrainer {
             per_rank_grads.push(grads);
             replica_zero.get_or_insert_with(|| (out.loss_breakdown, g.value(out.coords).clone()));
         }
-        let elements_dap = match &self.dap_group {
-            Some(group) => {
-                let step_comm = group.take_stats();
-                self.dap_comm += step_comm;
-                step_comm.total_elements()
-            }
-            None => 0,
-        };
+        let step_comm = self.dap_group.take_stats();
+        self.dap_comm += step_comm;
         if self.injector.poison_grads_at(self.step) {
             if let Some(grad) = per_rank_grads[0].values_mut().next() {
                 let mut data = grad.data().to_vec();
@@ -251,7 +238,7 @@ impl DataParallelTrainer {
             mean_loss,
             grad_norm: if finite { norm } else { f32::NAN },
             elements_all_reduced,
-            elements_dap,
+            elements_dap: step_comm.total_elements(),
             max_replica_divergence: self.max_divergence(),
             skipped: !finite,
         };

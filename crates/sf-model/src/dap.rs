@@ -73,7 +73,8 @@ impl AxialCollectives for LocalAxial {
 }
 
 /// Scatters `x` into `ranks` equal shards along axis 0 (tape slices; the
-/// inputs are replicated on every rank, so the scatter moves no data).
+/// inputs are replicated on every rank, so the scatter moves no data). At
+/// one rank the only shard is `x` itself, so DAP-1 adds no tape node.
 ///
 /// # Panics
 ///
@@ -88,6 +89,9 @@ pub fn dap_scatter(g: &mut Graph, x: Var, ranks: usize) -> Result<Vec<Var>> {
         ranks > 0 && d0.is_multiple_of(ranks),
         "DAP shard axis ({d0}) not divisible by {ranks} ranks"
     );
+    if ranks == 1 {
+        return Ok(vec![x]);
+    }
     let rows = d0 / ranks;
     (0..ranks)
         .map(|r| g.slice_axis(x, 0, r * rows, (r + 1) * rows))
@@ -153,8 +157,7 @@ pub fn dap_axis_switch(
 
     // Per-rank transpose so the flat buffer is row-major in the axis the
     // exchange splits: [A/k, B, ...] -> [B, A/k, ...].
-    let mut perm: Vec<usize> = (0..d.len()).collect();
-    perm.swap(0, 1);
+    let perm = swap01(d.len());
     let pre: Vec<Var> = shards
         .iter()
         .map(|&s| g.permute(s, &perm))
@@ -195,6 +198,45 @@ pub fn dap_axis_switch(
     Ok(result)
 }
 
+/// `[A/k, B, ...]` shards to `[A, B/k, ...]` shards: the axis switch and
+/// a per-shard transpose back, for a module that pools axis `A` rather
+/// than attending along it. At one rank this is the identity: no tape node.
+pub(crate) fn dap_reshard_axis1(
+    g: &mut Graph,
+    dap: &dyn AxialCollectives,
+    shards: &[Var],
+) -> Result<Vec<Var>> {
+    if dap.ranks() == 1 {
+        return Ok(shards.to_vec());
+    }
+    let switched = dap_axis_switch(g, dap, shards)?;
+    let perm = swap01(g.value(switched[0]).dims().len());
+    switched.into_iter().map(|s| g.permute(s, &perm)).collect()
+}
+
+/// All-gathers the `[A, B/k, ...]` shards of [`dap_reshard_axis1`] into the
+/// replicated `[A, B, ...]`; the identity at one rank.
+pub(crate) fn dap_all_gather_axis1(
+    g: &mut Graph,
+    dap: &dyn AxialCollectives,
+    shards: &[Var],
+) -> Result<Var> {
+    if dap.ranks() == 1 {
+        return Ok(shards[0]);
+    }
+    let perm = swap01(g.value(shards[0]).dims().len());
+    let t: Vec<Var> = shards.iter().map(|&s| g.permute(s, &perm)).collect::<Result<_>>()?;
+    let full = dap_all_gather(g, dap, &t)?;
+    g.permute(full, &perm)
+}
+
+/// The permutation swapping axes 0 and 1 of a rank-`n` tensor.
+fn swap01(n: usize) -> Vec<usize> {
+    let mut perm: Vec<usize> = (0..n).collect();
+    perm.swap(0, 1);
+    perm
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,10 +252,15 @@ mod tests {
         let x = var(&mut g, t.clone());
         for k in [1usize, 2, 3, 6] {
             let dap = LocalAxial(k);
+            let nodes = g.len();
             let shards = dap_scatter(&mut g, x, k).unwrap();
             let back = dap_all_gather(&mut g, &dap, &shards).unwrap();
             assert_eq!(g.value(back).dims(), t.dims());
             assert_eq!(g.value(back).data(), t.data());
+            if k == 1 {
+                // DAP-1 is the unsharded model: no tape node at all.
+                assert_eq!(g.len(), nodes, "a 1-rank round trip grew the tape");
+            }
         }
     }
 
@@ -236,6 +283,30 @@ mod tests {
                 g.value(expect).data(),
                 "k={k}: switch+gather != transpose"
             );
+        }
+    }
+
+    #[test]
+    fn axis1_reshard_is_a_column_scatter() {
+        // Resharded shards are the full tensor's axis-1 slices, gathering
+        // them restores it, and at one rank neither direction adds a node.
+        let t = Tensor::randn(&[4, 8, 3], 19);
+        for k in [1usize, 2, 4] {
+            let mut g = Graph::new();
+            let x = var(&mut g, t.clone());
+            let dap = LocalAxial(k);
+            let shards = dap_scatter(&mut g, x, k).unwrap();
+            let nodes = g.len();
+            let cols = dap_reshard_axis1(&mut g, &dap, &shards).unwrap();
+            for (r, &c) in cols.iter().enumerate() {
+                let expect = t.slice_axis(1, r * 8 / k, (r + 1) * 8 / k).unwrap();
+                assert_eq!(g.value(c), &expect, "k={k} rank {r}");
+            }
+            let back = dap_all_gather_axis1(&mut g, &dap, &cols).unwrap();
+            assert_eq!(g.value(back), &t, "k={k}: round trip");
+            if k == 1 {
+                assert_eq!(g.len(), nodes, "a 1-rank reshard grew the tape");
+            }
         }
     }
 

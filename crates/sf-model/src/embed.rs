@@ -3,7 +3,8 @@
 //! (the "Input Embeddings" box of the paper's Figure 1).
 
 use crate::config::{ModelConfig, DISTOGRAM_BINS};
-use crate::evoformer::{evoformer_block_ext, pair_block, BlockDims};
+use crate::dap::LocalAxial;
+use crate::evoformer::{evoformer_block, pair_block, BlockDims};
 use crate::features::FeatureBatch;
 use crate::linear::{layer_norm, Linear};
 use sf_autograd::{Graph, ParamStore, Result, Var};
@@ -171,7 +172,7 @@ pub fn extra_msa_stack(
         // The extra stack uses *global* column attention (Algorithm 19):
         // thousands of unclustered sequences make full column attention
         // prohibitively large.
-        let (m2, z2) = evoformer_block_ext(
+        let (m2, z2) = evoformer_block(
             g,
             store,
             &dims,
@@ -180,6 +181,7 @@ pub fn extra_msa_stack(
             z,
             false,
             true,
+            &LocalAxial(1),
         )?;
         me = m2;
         z = z2;
@@ -216,7 +218,8 @@ pub fn template_pair_stack(
         let mut zt =
             Linear::new("template.embed", DISTOGRAM_BINS, cfg.c_t).apply(g, store, ft2)?;
         for b in 0..cfg.template_blocks {
-            zt = pair_block(g, store, &dims, &format!("template.block{b}"), zt)?;
+            let prefix = format!("template.block{b}");
+            zt = pair_block(g, store, &dims, &prefix, zt, false, &LocalAxial(1))?;
         }
         let zt4 = g.reshape(zt, &[1, cfg.n_res, cfg.n_res, cfg.c_t])?;
         refined.push(zt4);

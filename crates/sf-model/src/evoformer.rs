@@ -1,4 +1,5 @@
-//! The Evoformer block: the nine sub-modules of the paper's Figure 2.
+//! The Evoformer block: the nine sub-modules of the paper's Figure 2,
+//! written once over Dynamic Axial Parallelism.
 //!
 //! Shapes throughout: the MSA representation `m` is `[S, R, c_m]` (sequences
 //! × residues × channels) and the pair representation `z` is `[R, R, c_z]`.
@@ -14,6 +15,15 @@
 //! 8. Triangle self-attention around the ending node
 //! 9. Pair transition
 //!
+//! [`evoformer_block`] takes the DAP executor (ScaleFold §3.3): the four
+//! axial attentions (modules 1, 2, 7, 8) run on activation shards, with
+//! the sharded axis switched by one all-to-all. The unsharded block is the
+//! same function at one rank (`&LocalAxial(1)`), where every collective is
+//! the identity or a plain transpose and adds no communication. The public
+//! per-module functions ([`msa_row_attention_with_pair_bias`],
+//! [`msa_column_attention`], [`triangle_attention`], ...) are the block's
+//! own module code at one rank, so timing them times what the block runs.
+//!
 //! Every sub-module is residual. The four projections before each attention
 //! (Q, K, V, gate) are bundled through [`crate::linear::batched_apply`] —
 //! the paper's "GEMM Batching" — and attention itself is the fused
@@ -25,7 +35,10 @@
 //! `sf_tensor::pool::set_num_threads`, and results are bit-identical at
 //! every thread count, so Evoformer outputs do not depend on parallelism.
 
-use crate::dap::{dap_all_gather, dap_axis_switch, dap_scatter, AxialCollectives};
+use crate::dap::{
+    dap_all_gather, dap_all_gather_axis1, dap_axis_switch, dap_reshard_axis1, dap_scatter,
+    AxialCollectives, LocalAxial,
+};
 use crate::linear::{batched_apply, layer_norm, name_seed, Linear};
 use sf_autograd::{Graph, ParamStore, Result, Var};
 
@@ -94,71 +107,33 @@ impl BlockDims {
     }
 }
 
-/// One full Evoformer block. Returns the updated `(m, z)`.
+/// One Evoformer block under **Dynamic Axial Parallelism** (ScaleFold
+/// §3.3, after FastFold) over `dap.ranks()` ranks. Returns the updated
+/// `(m, z)`, replicated on every rank.
 ///
-/// # Errors
-///
-/// Propagates shape errors from the underlying tensor ops (a mismatch
-/// indicates an inconsistent `dims` / input combination).
-pub fn evoformer_block(
-    g: &mut Graph,
-    store: &mut ParamStore,
-    dims: &BlockDims,
-    prefix: &str,
-    m: Var,
-    z: Var,
-    ckpt: bool,
-) -> Result<(Var, Var)> {
-    evoformer_block_ext(g, store, dims, prefix, m, z, ckpt, false)
-}
-
-/// [`evoformer_block`] with the extra-MSA variant switch: when
-/// `global_column` is set, the column attention uses AlphaFold's *global*
-/// (mean-query) form — the memory-cheap variant the extra-MSA stack needs
-/// for its thousands of sequences.
-#[allow(clippy::too_many_arguments)]
-pub fn evoformer_block_ext(
-    g: &mut Graph,
-    store: &mut ParamStore,
-    dims: &BlockDims,
-    prefix: &str,
-    m: Var,
-    z: Var,
-    ckpt: bool,
-    global_column: bool,
-) -> Result<(Var, Var)> {
-    let trans = if ckpt { transition_checkpointed } else { transition };
-    let m = msa_row_attention_with_pair_bias(g, store, dims, &format!("{prefix}.msa_row"), m, z)?;
-    let m = if global_column {
-        msa_global_column_attention(g, store, dims, &format!("{prefix}.msa_col"), m)?
-    } else {
-        msa_column_attention(g, store, dims, &format!("{prefix}.msa_col"), m)?
-    };
-    let m = trans(g, store, dims.c_m, dims.transition_factor, &format!("{prefix}.msa_trans"), m)?;
-    let z = outer_product_mean(g, store, dims, &format!("{prefix}.opm"), m, z)?;
-    let z = triangle_multiplication(g, store, dims, &format!("{prefix}.tri_mul_out"), z, true)?;
-    let z = triangle_multiplication(g, store, dims, &format!("{prefix}.tri_mul_in"), z, false)?;
-    let z = triangle_attention(g, store, dims, &format!("{prefix}.tri_att_start"), z, true)?;
-    let z = triangle_attention(g, store, dims, &format!("{prefix}.tri_att_end"), z, false)?;
-    let z = trans(g, store, dims.c_z, dims.transition_factor, &format!("{prefix}.pair_trans"), z)?;
-    Ok((m, z))
-}
-
-/// [`evoformer_block`] under **Dynamic Axial Parallelism** (ScaleFold
-/// §3.3 / FastFold): the four axial attentions run on activation shards —
-/// MSA row attention sharded along sequences, MSA column and triangle
-/// attention along residues — with the sharded axis switched by the
-/// injected executor's all-to-all and results rejoined by its all-gather.
-/// The remaining modules (transitions, outer product mean, triangle
-/// multiplication) run replicated, as their cost does not grow with the
+/// The four axial attentions run on activation shards. MSA row attention
+/// runs on sequence shards `[S/k, R, c_m]`; one axis switch (the
+/// executor's all-to-all) turns them into residue shards `[R/k, S, c_m]`
+/// for column attention, and an all-gather rejoins them. The pair half
+/// does the same with the starting- and ending-node triangle attentions.
+/// The transitions, the outer product mean and the triangle
+/// multiplications run replicated, as their cost does not grow with the
 /// axial length being sharded here.
 ///
-/// With `dropout = 0` the output is bitwise-identical to
-/// [`evoformer_block`] for any rank count: every sharded kernel (LN, the
-/// bundled QKV-gate GEMM, attention) is row-independent, and all data
-/// movement enters the tape through the verified external concat. Under
-/// dropout the per-shard masks are rank-salted, so DAP-k > 1 is a
-/// *different but equally valid* sample of the dropout noise.
+/// At `dap = &LocalAxial(1)` every scatter and gather is the identity and
+/// every axis switch a plain transpose: that call *is* the unsharded
+/// block. With dropout off the output is bitwise identical for every rank
+/// count, because each sharded kernel (LayerNorm, the bundled QKV-gate
+/// GEMM, attention) is row-independent and all data movement enters the
+/// tape through the verified external concat. Under dropout each rank
+/// salts its mask seed with its rank, so DAP-k is a different but equally
+/// valid sample of the dropout noise.
+///
+/// `global_column` switches column attention to AlphaFold's *global*
+/// (mean-query) form, the memory-cheap variant the extra-MSA stack needs
+/// for its thousands of sequences. It keeps the row-major `[S, R/k, c_m]`
+/// shards, so at one rank it transposes nothing. `ckpt` recomputes the transitions in
+/// backward instead of keeping their hidden layers.
 ///
 /// # Panics
 ///
@@ -167,10 +142,11 @@ pub fn evoformer_block_ext(
 ///
 /// # Errors
 ///
-/// Propagates shape errors from the underlying tensor ops and external
+/// Propagates shape errors from the underlying tensor ops (a mismatch
+/// indicates an inconsistent `dims` / input combination) and external
 /// value mismatches from the collective executor.
 #[allow(clippy::too_many_arguments)]
-pub fn evoformer_block_dap(
+pub fn evoformer_block(
     g: &mut Graph,
     store: &mut ParamStore,
     dims: &BlockDims,
@@ -178,23 +154,53 @@ pub fn evoformer_block_dap(
     m: Var,
     z: Var,
     ckpt: bool,
+    global_column: bool,
     dap: &dyn AxialCollectives,
 ) -> Result<(Var, Var)> {
+    let rows = msa_row_shards(g, store, dims, &format!("{prefix}.msa_row"), m, z, dap)?;
+    let col_prefix = format!("{prefix}.msa_col");
+    let m = msa_column_gathered(g, store, dims, &col_prefix, &rows, global_column, dap)?;
     let trans = if ckpt { transition_checkpointed } else { transition };
-    let m = dap_msa_attention(g, store, dims, prefix, m, z, dap)?;
     let m = trans(g, store, dims.c_m, dims.transition_factor, &format!("{prefix}.msa_trans"), m)?;
     let z = outer_product_mean(g, store, dims, &format!("{prefix}.opm"), m, z)?;
-    let z = triangle_multiplication(g, store, dims, &format!("{prefix}.tri_mul_out"), z, true)?;
-    let z = triangle_multiplication(g, store, dims, &format!("{prefix}.tri_mul_in"), z, false)?;
-    let z = dap_triangle_attention(g, store, dims, prefix, z, dap)?;
-    let z = trans(g, store, dims.c_z, dims.transition_factor, &format!("{prefix}.pair_trans"), z)?;
+    let z = pair_block(g, store, dims, prefix, z, ckpt, dap)?;
     Ok((m, z))
 }
 
-/// Modules 1 + 2 under DAP: row attention on sequence shards, one axis
-/// switch, column attention on residue shards, one all-gather back to the
-/// replicated `[S, R, c_m]` layout for the (unsharded) MSA transition.
-fn dap_msa_attention(
+/// The block's pair half (modules 5–9). The template pair stack, which
+/// has no MSA track, runs it alone at DAP-1.
+///
+/// # Panics
+///
+/// Panics if the residue axis is not divisible by the rank count.
+///
+/// # Errors
+///
+/// Propagates shape errors from the underlying tensor ops and external
+/// value mismatches from the collective executor.
+pub fn pair_block(
+    g: &mut Graph,
+    store: &mut ParamStore,
+    dims: &BlockDims,
+    prefix: &str,
+    z: Var,
+    ckpt: bool,
+    dap: &dyn AxialCollectives,
+) -> Result<Var> {
+    let z = triangle_multiplication(g, store, dims, &format!("{prefix}.tri_mul_out"), z, true)?;
+    let z = triangle_multiplication(g, store, dims, &format!("{prefix}.tri_mul_in"), z, false)?;
+    let start_prefix = format!("{prefix}.tri_att_start");
+    let residual = dap_scatter(g, z, dap.ranks())?;
+    let starts = triangle_attention_shards(g, store, dims, &start_prefix, z, &residual)?;
+    let z = triangle_end_gathered(g, store, dims, &format!("{prefix}.tri_att_end"), &starts, dap)?;
+    let trans = if ckpt { transition_checkpointed } else { transition };
+    trans(g, store, dims.c_z, dims.transition_factor, &format!("{prefix}.pair_trans"), z)
+}
+
+/// Module 1 on sequence shards: LayerNorm, gated attention along the
+/// residue axis with the pair bias, dropout and the residual, rank by
+/// rank. Returns the `[S/k, R, c_m]` shards.
+fn msa_row_shards(
     g: &mut Graph,
     store: &mut ParamStore,
     dims: &BlockDims,
@@ -202,167 +208,174 @@ fn dap_msa_attention(
     m: Var,
     z: Var,
     dap: &dyn AxialCollectives,
+) -> Result<Vec<Var>> {
+    // The pair bias indexes residues only, so every rank shares the one
+    // computed from the replicated z.
+    let z_ln = layer_norm(g, store, &format!("{prefix}.ln_z"), dims.c_z, z)?;
+    let bias = head_bias(g, store, &format!("{prefix}.pair_bias"), dims.c_z, dims.msa_heads, z_ln)?;
+    // Parameter prefixes are identical across ranks: each rank binds the
+    // same weights, and `grads_by_name` sums the per-rank weight
+    // gradients — the reduction DAP performs in its gradient all-reduce.
+    dap_scatter(g, m, dap.ranks())?
+        .into_iter()
+        .enumerate()
+        .map(|(rank, sh)| {
+            let m_ln = layer_norm(g, store, &format!("{prefix}.ln_m"), dims.c_m, sh)?;
+            let att = gated_axis_attention(
+                g,
+                store,
+                prefix,
+                m_ln,
+                Some(bias),
+                dims.c_m,
+                dims.msa_heads,
+                dims.c_hidden_msa,
+                dims.fused,
+            )?;
+            dropout_residual(g, dims, prefix, rank, sh, att)
+        })
+        .collect()
+}
+
+/// Module 2 on the sequence shards module 1 leaves: residue shards,
+/// LayerNorm, column attention (full or global) along the sequence axis,
+/// the residual, and one all-gather back to the replicated `[S, R, c_m]`.
+///
+/// Full attention attends along axis 1, so one axis switch gives it
+/// transposed `[R/k, S, c_m]` shards. Its LayerNorm follows the switch, so
+/// its parameter gradients reduce over `[R, S]`-ordered rows; normalising
+/// before the switch would need a second all-to-all for the residual.
+/// Global attention only pools the sequence axis, so it keeps the
+/// row-major `[S, R/k, c_m]` shards: at one rank, where the extra-MSA
+/// stack runs, it transposes nothing.
+fn msa_column_gathered(
+    g: &mut Graph,
+    store: &mut ParamStore,
+    dims: &BlockDims,
+    prefix: &str,
+    rows: &[Var],
+    global: bool,
+    dap: &dyn AxialCollectives,
 ) -> Result<Var> {
-    let k = dap.ranks();
-    let row_prefix = format!("{prefix}.msa_row");
-    let col_prefix = format!("{prefix}.msa_col");
-    // The pair bias is shared by every rank's row attention (it indexes
-    // residues only), so it is computed once from the replicated z.
-    let z_ln = layer_norm(g, store, &format!("{row_prefix}.ln_z"), dims.c_z, z)?;
-    let bias_rr = Linear::no_bias(format!("{row_prefix}.pair_bias"), dims.c_z, dims.msa_heads)
-        .apply(g, store, z_ln)?;
-    let bias = g.permute(bias_rr, &[2, 0, 1])?;
-
-    // Row attention on sequence shards [S/k, R, c_m]. Parameter prefixes
-    // are identical across ranks: each rank binds the same weights, and
-    // `grads_by_name` sums the per-rank weight gradients — the same
-    // reduction DAP performs over its gradient all-reduce.
-    let m_shards = dap_scatter(g, m, k)?;
-    let mut row_out = Vec::with_capacity(k);
-    for (rank, &sh) in m_shards.iter().enumerate() {
-        let m_ln = layer_norm(g, store, &format!("{row_prefix}.ln_m"), dims.c_m, sh)?;
-        let att = gated_axis_attention(
-            g,
-            store,
-            &row_prefix,
-            m_ln,
-            Some(bias),
-            dims.c_m,
-            dims.msa_heads,
-            dims.c_hidden_msa,
-            dims.fused,
-        )?;
-        row_out.push(dropout_residual_ranked(g, dims, &row_prefix, rank, sh, att)?);
+    let cols = if global {
+        dap_reshard_axis1(g, dap, rows)?
+    } else {
+        dap_axis_switch(g, dap, rows)?
+    };
+    let mut out = Vec::with_capacity(cols.len());
+    for (rank, &sh) in cols.iter().enumerate() {
+        let ln = layer_norm(g, store, &format!("{prefix}.ln"), dims.c_m, sh)?;
+        out.push(if global {
+            let att = global_column_attention(g, store, dims, prefix, ln)?;
+            dropout_residual(g, dims, prefix, rank, sh, att)?
+        } else {
+            let att = gated_axis_attention(
+                g,
+                store,
+                prefix,
+                ln,
+                None,
+                dims.c_m,
+                dims.msa_heads,
+                dims.c_hidden_msa,
+                dims.fused,
+            )?;
+            // AlphaFold applies no dropout to full column attention.
+            g.add(sh, att)?
+        });
     }
-
-    // Axis switch: sequence-sharded -> residue-sharded [R/k, S, c_m].
-    let col_shards = dap_axis_switch(g, dap, &row_out)?;
-    let mut col_out = Vec::with_capacity(k);
-    for &sh in &col_shards {
-        let ln = layer_norm(g, store, &format!("{col_prefix}.ln"), dims.c_m, sh)?;
-        let att = gated_axis_attention(
-            g,
-            store,
-            &col_prefix,
-            ln,
-            None,
-            dims.c_m,
-            dims.msa_heads,
-            dims.c_hidden_msa,
-            dims.fused,
-        )?;
-        // Column attention has no dropout in the unsharded path either.
-        col_out.push(g.add(sh, att)?);
+    if global {
+        return dap_all_gather_axis1(g, dap, &out);
     }
-    let full = dap_all_gather(g, dap, &col_out)?; // [R, S, c_m]
+    let full = dap_all_gather(g, dap, &out)?; // [R, S, c_m]
     g.permute(full, &[1, 0, 2])
 }
 
-/// Modules 7 + 8 under DAP: starting-node attention on row shards of the
-/// pair tensor, one axis switch to the transposed layout, an all-gather
-/// (the ending-node LayerNorm and triangle bias need the full transposed
-/// tensor), ending-node attention on shards, and a final gather +
-/// transpose back.
-fn dap_triangle_attention(
+/// Module 8 on the shards module 7 leaves: one axis switch to the
+/// transposed layout, an all-gather (the ending-node LayerNorm and bias
+/// need the full transposed tensor), attention on shards, and a final
+/// all-gather and transpose back to the replicated `[R, R, c_z]`.
+fn triangle_end_gathered(
     g: &mut Graph,
     store: &mut ParamStore,
     dims: &BlockDims,
     prefix: &str,
-    z: Var,
+    starts: &[Var],
     dap: &dyn AxialCollectives,
 ) -> Result<Var> {
-    let k = dap.ranks();
-    let start_p = format!("{prefix}.tri_att_start");
-    let end_p = format!("{prefix}.tri_att_end");
-
-    // Starting node: shard along the first residue axis.
-    let z_ln = layer_norm(g, store, &format!("{start_p}.ln"), dims.c_z, z)?;
-    let bias_rr = Linear::no_bias(format!("{start_p}.tri_bias"), dims.c_z, dims.pair_heads)
-        .apply(g, store, z_ln)?;
-    let bias = g.permute(bias_rr, &[2, 0, 1])?;
-    let ln_shards = dap_scatter(g, z_ln, k)?;
-    let z_shards = dap_scatter(g, z, k)?;
-    let mut start_out = Vec::with_capacity(k);
-    for rank in 0..k {
-        let att = gated_axis_attention(
-            g,
-            store,
-            &start_p,
-            ln_shards[rank],
-            Some(bias),
-            dims.c_z,
-            dims.pair_heads,
-            dims.c_hidden_pair,
-            dims.fused,
-        )?;
-        start_out.push(dropout_residual_ranked(g, dims, &start_p, rank, z_shards[rank], att)?);
-    }
-
-    // Switch to the transposed layout, then gather: the ending-node bias
-    // is a function of the full transposed pair tensor.
-    let end_in = dap_axis_switch(g, dap, &start_out)?; // [R/k, R, c_z], transposed
-    let zp = dap_all_gather(g, dap, &end_in)?; // [R, R, c_z], transposed
-    let zp_ln = layer_norm(g, store, &format!("{end_p}.ln"), dims.c_z, zp)?;
-    let bias2_rr = Linear::no_bias(format!("{end_p}.tri_bias"), dims.c_z, dims.pair_heads)
-        .apply(g, store, zp_ln)?;
-    let bias2 = g.permute(bias2_rr, &[2, 0, 1])?;
-    let ln2_shards = dap_scatter(g, zp_ln, k)?;
-    let mut end_out = Vec::with_capacity(k);
-    for rank in 0..k {
-        let att = gated_axis_attention(
-            g,
-            store,
-            &end_p,
-            ln2_shards[rank],
-            Some(bias2),
-            dims.c_z,
-            dims.pair_heads,
-            dims.c_hidden_pair,
-            dims.fused,
-        )?;
-        end_out.push(dropout_residual_ranked(g, dims, &end_p, rank, end_in[rank], att)?);
-    }
-    let zp_out = dap_all_gather(g, dap, &end_out)?;
-    g.permute(zp_out, &[1, 0, 2])
+    let residual = dap_axis_switch(g, dap, starts)?; // [R/k, R, c_z], transposed
+    let full = dap_all_gather(g, dap, &residual)?;
+    let out = triangle_attention_shards(g, store, dims, prefix, full, &residual)?;
+    let zt = dap_all_gather(g, dap, &out)?;
+    g.permute(zt, &[1, 0, 2])
 }
 
-/// [`dropout_residual`] with a rank-salted seed: each DAP rank draws its
-/// own mask, exactly as real per-device dropout would.
-fn dropout_residual_ranked(
-    g: &mut Graph,
-    dims: &BlockDims,
-    prefix: &str,
-    rank: usize,
-    residual: Var,
-    update: Var,
-) -> Result<Var> {
-    let update = if dims.dropout > 0.0 {
-        let seed = name_seed(prefix) ^ (rank as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        g.dropout(update, dims.dropout, seed)?
-    } else {
-        update
-    };
-    g.add(residual, update)
-}
-
-/// A pair-only Evoformer block (modules 5-9), used by the template pair
-/// stack which has no MSA track.
-///
-/// # Errors
-///
-/// Propagates shape errors from the underlying tensor ops.
-pub fn pair_block(
+/// Module 7, starting-node triangle attention, of the replicated `full`
+/// (`[R, R, c_z]`) on one row shard per entry of `residual`: LayerNorm
+/// and the triangle bias `logits(i; j->k) += linear(z_ln[j,k])` over the
+/// whole tensor, then each rank's attention, dropout and residual.
+/// Returns the `[R/k, R, c_z]` shards. Module 8 is this on the transposed
+/// tensor.
+fn triangle_attention_shards(
     g: &mut Graph,
     store: &mut ParamStore,
     dims: &BlockDims,
     prefix: &str,
-    z: Var,
+    full: Var,
+    residual: &[Var],
+) -> Result<Vec<Var>> {
+    let z_ln = layer_norm(g, store, &format!("{prefix}.ln"), dims.c_z, full)?;
+    let bias = head_bias(g, store, &format!("{prefix}.tri_bias"), dims.c_z, dims.pair_heads, z_ln)?;
+    dap_scatter(g, z_ln, residual.len())?
+        .into_iter()
+        .zip(residual)
+        .enumerate()
+        .map(|(rank, (x, &res))| {
+            let att = gated_axis_attention(
+                g,
+                store,
+                prefix,
+                x,
+                Some(bias),
+                dims.c_z,
+                dims.pair_heads,
+                dims.c_hidden_pair,
+                dims.fused,
+            )?;
+            dropout_residual(g, dims, prefix, rank, res, att)
+        })
+        .collect()
+}
+
+/// Per-head attention bias from a normalised pair tensor:
+/// `[R, R, c_z]` → `[R, R, h]` → `[h, R, R]`.
+fn head_bias(
+    g: &mut Graph,
+    store: &mut ParamStore,
+    name: &str,
+    c_z: usize,
+    heads: usize,
+    z_ln: Var,
 ) -> Result<Var> {
-    let z = triangle_multiplication(g, store, dims, &format!("{prefix}.tri_mul_out"), z, true)?;
-    let z = triangle_multiplication(g, store, dims, &format!("{prefix}.tri_mul_in"), z, false)?;
-    let z = triangle_attention(g, store, dims, &format!("{prefix}.tri_att_start"), z, true)?;
-    let z = triangle_attention(g, store, dims, &format!("{prefix}.tri_att_end"), z, false)?;
-    transition(g, store, dims.c_z, dims.transition_factor, &format!("{prefix}.pair_trans"), z)
+    let bias = Linear::no_bias(name, c_z, heads).apply(g, store, z_ln)?;
+    g.permute(bias, &[2, 0, 1])
+}
+
+/// The four attention projections (Q, K, V, gate) of `x`, `c_in` →
+/// `hd`, as one bundled GEMM — the paper's "GEMM Batching".
+fn qkv_gate(
+    g: &mut Graph,
+    store: &mut ParamStore,
+    prefix: &str,
+    x: Var,
+    c_in: usize,
+    hd: usize,
+) -> Result<Vec<Var>> {
+    let q_proj = Linear::no_bias(format!("{prefix}.q"), c_in, hd);
+    let k_proj = Linear::no_bias(format!("{prefix}.k"), c_in, hd);
+    let v_proj = Linear::no_bias(format!("{prefix}.v"), c_in, hd);
+    let gate_proj = Linear::new(format!("{prefix}.gate"), c_in, hd);
+    batched_apply(g, store, &[&q_proj, &k_proj, &v_proj, &gate_proj], x)
 }
 
 /// Shared gated-attention plumbing: projects `x` (`[B1, B2, c_in]`) to
@@ -381,25 +394,18 @@ fn gated_axis_attention(
     fused: bool,
 ) -> Result<Var> {
     let hd = heads * c_hidden;
-    let q_proj = Linear::no_bias(format!("{prefix}.q"), c_in, hd);
-    let k_proj = Linear::no_bias(format!("{prefix}.k"), c_in, hd);
-    let v_proj = Linear::no_bias(format!("{prefix}.v"), c_in, hd);
-    let gate_proj = Linear::new(format!("{prefix}.gate"), c_in, hd);
-    // GEMM batching: the four projections share one bundled GEMM.
-    let outs = batched_apply(g, store, &[&q_proj, &k_proj, &v_proj, &gate_proj], x)?;
-    let (q, k, v, gate) = (outs[0], outs[1], outs[2], outs[3]);
-
-    let in_dims = g.value(x).dims().to_vec();
-    let (b1, b2) = (in_dims[0], in_dims[1]);
-    // [B1, B2, h*d] -> [B1, h, B2, d]
-    let to_heads = |g: &mut Graph, t: Var| -> Result<Var> {
+    let outs = qkv_gate(g, store, prefix, x, c_in, hd)?;
+    let (b1, b2) = {
+        let d = g.value(x).dims();
+        (d[0], d[1])
+    };
+    // [B1, B2, h·d] -> [B1, h, B2, d]
+    let mut per_head = |t: Var| {
         let r = g.reshape(t, &[b1, b2, heads, c_hidden])?;
         g.permute(r, &[0, 2, 1, 3])
     };
-    let qh = to_heads(g, q)?;
-    let kh = to_heads(g, k)?;
-    let vh = to_heads(g, v)?;
-    let gh = to_heads(g, gate)?;
+    let (qh, kh, vh, gh) =
+        (per_head(outs[0])?, per_head(outs[1])?, per_head(outs[2])?, per_head(outs[3])?);
     let scale = 1.0 / (c_hidden as f32).sqrt();
     let gated = if fused {
         // One kernel: scale + pair bias + online softmax + sigmoid gate,
@@ -413,28 +419,72 @@ fn gated_axis_attention(
         g.mul(gsig, att)?
     };
     let back = g.permute(gated, &[0, 2, 1, 3])?;
-    let flat = g.reshape(back, &[b1, b2, hd])?;
+    let mut flat_dims = g.value(x).dims().to_vec();
+    flat_dims[2] = hd;
+    let flat = g.reshape(back, &flat_dims)?;
     Linear::new(format!("{prefix}.out"), hd, c_in).apply(g, store, flat)
+}
+
+/// Global column attention (AlphaFold Algorithm 19) on a normalised
+/// row-major shard `[S, R/k, c_m]`. One mean-pooled query per column
+/// attends over the sequences, so the logits are `O(S)` per column rather
+/// than `O(S²)`; each sequence then gates the shared attention output.
+fn global_column_attention(
+    g: &mut Graph,
+    store: &mut ParamStore,
+    dims: &BlockDims,
+    prefix: &str,
+    x: Var,
+) -> Result<Var> {
+    let (heads, c_hidden) = (dims.msa_heads, dims.c_hidden_msa);
+    let hd = heads * c_hidden;
+    let (seqs, cols) = {
+        let d = g.value(x).dims();
+        (d[0], d[1])
+    };
+    let outs = qkv_gate(g, store, prefix, x, dims.c_m, hd)?;
+    // One query per column: the mean over the sequence axis,
+    // [R/k, hd] -> [R/k, h, 1, d].
+    let q_mean = g.mean_axis(outs[0], 0)?;
+    let qh = g.reshape(q_mean, &[cols, heads, 1, c_hidden])?;
+    // Keys/values: [S, R/k, hd] -> [R/k, h, S, d].
+    let mut per_head = |t: Var| {
+        let r4 = g.reshape(t, &[seqs, cols, heads, c_hidden])?;
+        g.permute(r4, &[1, 2, 0, 3])
+    };
+    let (kh, vh) = (per_head(outs[1])?, per_head(outs[2])?);
+    let scale = 1.0 / (c_hidden as f32).sqrt();
+    let att = g.attention(qh, kh, vh, None, scale)?; // [R/k, h, 1, d]
+    let att_flat = g.reshape(att, &[cols, hd])?;
+    // Per-sequence gating of the shared column output (broadcast over S).
+    let gsig = g.sigmoid(outs[3])?;
+    let gated = g.mul(gsig, att_flat)?;
+    Linear::new(format!("{prefix}.out"), hd, dims.c_m).apply(g, store, gated)
 }
 
 /// Applies dropout (when enabled) then the residual connection — AlphaFold
 /// drops attention and triangle-update outputs before adding them back.
+/// Each DAP rank salts the mask seed with its rank, as real per-device
+/// dropout would; rank 0's salt is 0, so one rank draws the unsalted mask.
 fn dropout_residual(
     g: &mut Graph,
     dims: &BlockDims,
     prefix: &str,
+    rank: usize,
     residual: Var,
     update: Var,
 ) -> Result<Var> {
     let update = if dims.dropout > 0.0 {
-        g.dropout(update, dims.dropout, name_seed(prefix))?
+        let seed = name_seed(prefix) ^ (rank as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        g.dropout(update, dims.dropout, seed)?
     } else {
         update
     };
     g.add(residual, update)
 }
 
-/// Module 1: MSA row-wise gated self-attention with pair bias.
+/// Module 1: MSA row-wise gated self-attention with pair bias — the
+/// block's own module code at one rank.
 pub fn msa_row_attention_with_pair_bias(
     g: &mut Graph,
     store: &mut ParamStore,
@@ -443,28 +493,12 @@ pub fn msa_row_attention_with_pair_bias(
     m: Var,
     z: Var,
 ) -> Result<Var> {
-    let m_ln = layer_norm(g, store, &format!("{prefix}.ln_m"), dims.c_m, m)?;
-    let z_ln = layer_norm(g, store, &format!("{prefix}.ln_z"), dims.c_z, z)?;
-    // Pair bias: [R, R, c_z] -> [R, R, h] -> [h, R, R].
-    let bias_rr =
-        Linear::no_bias(format!("{prefix}.pair_bias"), dims.c_z, dims.msa_heads)
-            .apply(g, store, z_ln)?;
-    let bias = g.permute(bias_rr, &[2, 0, 1])?;
-    let att = gated_axis_attention(
-        g,
-        store,
-        prefix,
-        m_ln,
-        Some(bias),
-        dims.c_m,
-        dims.msa_heads,
-        dims.c_hidden_msa,
-        dims.fused,
-    )?;
-    dropout_residual(g, dims, prefix, m, att)
+    let rows = msa_row_shards(g, store, dims, prefix, m, z, &LocalAxial(1))?;
+    dap_all_gather(g, &LocalAxial(1), &rows)
 }
 
-/// Module 2: MSA column-wise gated self-attention (attends over sequences).
+/// Module 2: MSA column-wise gated self-attention (attends over
+/// sequences) — the block's own module code at one rank.
 pub fn msa_column_attention(
     g: &mut Graph,
     store: &mut ParamStore,
@@ -472,71 +506,7 @@ pub fn msa_column_attention(
     prefix: &str,
     m: Var,
 ) -> Result<Var> {
-    let m_ln = layer_norm(g, store, &format!("{prefix}.ln"), dims.c_m, m)?;
-    // Transpose so the attended axis (sequences) is axis 1: [R, S, c_m].
-    let mt = g.permute(m_ln, &[1, 0, 2])?;
-    let att = gated_axis_attention(
-        g,
-        store,
-        prefix,
-        mt,
-        None,
-        dims.c_m,
-        dims.msa_heads,
-        dims.c_hidden_msa,
-        dims.fused,
-    )?;
-    let back = g.permute(att, &[1, 0, 2])?;
-    g.add(m, back)
-}
-
-/// Extra-MSA variant of module 2: **global** column attention (AlphaFold
-/// Algorithm 19). One mean-pooled query per column attends over the
-/// thousands of extra sequences, so the logits are `O(S)` per column rather
-/// than `O(S²)`; each sequence then gates the shared attention output.
-pub fn msa_global_column_attention(
-    g: &mut Graph,
-    store: &mut ParamStore,
-    dims: &BlockDims,
-    prefix: &str,
-    m: Var,
-) -> Result<Var> {
-    let (s, r) = {
-        let d = g.value(m).dims();
-        (d[0], d[1])
-    };
-    let heads = dims.msa_heads;
-    let hd = heads * dims.c_hidden_msa;
-    let m_ln = layer_norm(g, store, &format!("{prefix}.ln"), dims.c_m, m)?;
-    let q_proj = Linear::no_bias(format!("{prefix}.q"), dims.c_m, hd);
-    let k_proj = Linear::no_bias(format!("{prefix}.k"), dims.c_m, hd);
-    let v_proj = Linear::no_bias(format!("{prefix}.v"), dims.c_m, hd);
-    let gate_proj = Linear::new(format!("{prefix}.gate"), dims.c_m, hd);
-    let outs = batched_apply(g, store, &[&q_proj, &k_proj, &v_proj, &gate_proj], m_ln)?;
-    let (q, k, v, gate) = (outs[0], outs[1], outs[2], outs[3]);
-
-    // Global query: mean over the sequence axis -> one query per column,
-    // laid out [R, hd] -> [R, heads, d] -> [R, heads, 1, d].
-    let q_mean = g.mean_axis(q, 0)?; // [R, hd]
-    let qh = {
-        let r1 = g.reshape(q_mean, &[r, heads, dims.c_hidden_msa])?;
-        g.reshape(r1, &[r, heads, 1, dims.c_hidden_msa])?
-    };
-    // Keys/values: [S, R, hd] -> [R, heads, S, d].
-    let to_kv = |g: &mut Graph, t: Var| -> Result<Var> {
-        let r4 = g.reshape(t, &[s, r, heads, dims.c_hidden_msa])?;
-        g.permute(r4, &[1, 2, 0, 3])
-    };
-    let kh = to_kv(g, k)?;
-    let vh = to_kv(g, v)?;
-    let scale = 1.0 / (dims.c_hidden_msa as f32).sqrt();
-    let att = g.attention(qh, kh, vh, None, scale)?; // [R, heads, 1, d]
-    let att_flat = g.reshape(att, &[r, hd])?;
-    // Per-sequence gating of the shared column output.
-    let gsig = g.sigmoid(gate)?; // [S, R, hd]
-    let gated = g.mul(gsig, att_flat)?; // broadcast over S
-    let out = Linear::new(format!("{prefix}.out"), hd, dims.c_m).apply(g, store, gated)?;
-    dropout_residual(g, dims, prefix, m, out)
+    msa_column_gathered(g, store, dims, prefix, &[m], false, &LocalAxial(1))
 }
 
 /// Modules 3 & 9: the two-layer transition (feed-forward) block,
@@ -677,10 +647,11 @@ pub fn triangle_multiplication(
         Linear::new(format!("{prefix}.out_gate"), dims.c_z, dims.c_z).apply(g, store, z_ln)?;
     let og = g.sigmoid(out_gate)?;
     let gated = g.mul(og, proj)?;
-    dropout_residual(g, dims, prefix, z, gated)
+    dropout_residual(g, dims, prefix, 0, z, gated)
 }
 
-/// Modules 7 & 8: triangle self-attention around the starting / ending node.
+/// Modules 7 & 8: triangle self-attention around the starting / ending
+/// node — the block's own module code at one rank.
 pub fn triangle_attention(
     g: &mut Graph,
     store: &mut ParamStore,
@@ -689,27 +660,12 @@ pub fn triangle_attention(
     z: Var,
     starting: bool,
 ) -> Result<Var> {
-    // Ending-node attention is starting-node attention on the transposed
-    // pair tensor.
-    let zin = if starting { z } else { g.permute(z, &[1, 0, 2])? };
-    let z_ln = layer_norm(g, store, &format!("{prefix}.ln"), dims.c_z, zin)?;
-    // Triangle bias: logits(i; j->k) += linear(z_ln[j,k]).
-    let bias_rr = Linear::no_bias(format!("{prefix}.tri_bias"), dims.c_z, dims.pair_heads)
-        .apply(g, store, z_ln)?;
-    let bias = g.permute(bias_rr, &[2, 0, 1])?;
-    let att = gated_axis_attention(
-        g,
-        store,
-        prefix,
-        z_ln,
-        Some(bias),
-        dims.c_z,
-        dims.pair_heads,
-        dims.c_hidden_pair,
-        dims.fused,
-    )?;
-    let att = if starting { att } else { g.permute(att, &[1, 0, 2])? };
-    dropout_residual(g, dims, prefix, z, att)
+    if starting {
+        let out = triangle_attention_shards(g, store, dims, prefix, z, &[z])?;
+        dap_all_gather(g, &LocalAxial(1), &out)
+    } else {
+        triangle_end_gathered(g, store, dims, prefix, &[z], &LocalAxial(1))
+    }
 }
 
 #[cfg(test)]
@@ -717,6 +673,18 @@ mod tests {
     use super::*;
     use crate::ModelConfig;
     use sf_tensor::Tensor;
+
+    /// The block at one rank: the unsharded model's block.
+    fn block1(
+        g: &mut Graph,
+        store: &mut ParamStore,
+        dims: &BlockDims,
+        prefix: &str,
+        m: Var,
+        z: Var,
+    ) -> (Var, Var) {
+        evoformer_block(g, store, dims, prefix, m, z, false, false, &LocalAxial(1)).unwrap()
+    }
 
     fn setup() -> (Graph, ParamStore, BlockDims, Var, Var) {
         let cfg = ModelConfig::tiny();
@@ -733,7 +701,7 @@ mod tests {
         let (mut g, mut store, dims, m, z) = setup();
         let m_dims = g.value(m).dims().to_vec();
         let z_dims = g.value(z).dims().to_vec();
-        let (m2, z2) = evoformer_block(&mut g, &mut store, &dims, "blk0", m, z, false).unwrap();
+        let (m2, z2) = block1(&mut g, &mut store, &dims, "blk0", m, z);
         assert_eq!(g.value(m2).dims(), m_dims.as_slice());
         assert_eq!(g.value(z2).dims(), z_dims.as_slice());
         assert!(!g.value(m2).has_non_finite());
@@ -743,7 +711,7 @@ mod tests {
     #[test]
     fn block_output_differs_from_input() {
         let (mut g, mut store, dims, m, z) = setup();
-        let (m2, z2) = evoformer_block(&mut g, &mut store, &dims, "blk0", m, z, false).unwrap();
+        let (m2, z2) = block1(&mut g, &mut store, &dims, "blk0", m, z);
         assert!(!g.value(m2).allclose(g.value(m), 1e-6));
         assert!(!g.value(z2).allclose(g.value(z), 1e-6));
     }
@@ -751,7 +719,7 @@ mod tests {
     #[test]
     fn gradients_reach_all_block_params() {
         let (mut g, mut store, dims, m, z) = setup();
-        let (m2, z2) = evoformer_block(&mut g, &mut store, &dims, "b", m, z, false).unwrap();
+        let (m2, z2) = block1(&mut g, &mut store, &dims, "b", m, z);
         let lm = g.sum_all(m2).unwrap();
         let lz = g.sum_all(z2).unwrap();
         let loss = g.add(lm, lz).unwrap();
@@ -872,7 +840,8 @@ mod tests {
         let m = g.constant(
             Tensor::randn(&[cfg.n_extra_seq, cfg.n_res, cfg.c_e], 41).mul_scalar(0.3),
         );
-        let out = msa_global_column_attention(&mut g, &mut store, &dims, "gc", m).unwrap();
+        let one = &LocalAxial(1);
+        let out = msa_column_gathered(&mut g, &mut store, &dims, "gc", &[m], true, one).unwrap();
         assert_eq!(g.value(out).dims(), &[cfg.n_extra_seq, cfg.n_res, cfg.c_e]);
         assert!(!g.value(out).has_non_finite());
         let loss = g.sum_all(out).unwrap();
@@ -895,7 +864,8 @@ mod tests {
         let mut g1 = Graph::new();
         let mut store = ParamStore::new();
         let m1 = g1.constant(m0.clone());
-        let _ = msa_global_column_attention(&mut g1, &mut store, &dims, "gc", m1).unwrap();
+        let one = &LocalAxial(1);
+        let _ = msa_column_gathered(&mut g1, &mut store, &dims, "gc", &[m1], true, one).unwrap();
 
         let mut g2 = Graph::new();
         let m2 = g2.constant(m0);
@@ -909,6 +879,123 @@ mod tests {
     }
 
     #[test]
+    fn global_column_attention_matches_algorithm_19() {
+        // Algorithm 19 by hand on a tiny fixed tensor: LayerNorm, a mean
+        // query over S, a softmax over S per column and head, a sigmoid
+        // gate per sequence, the output projection and the residual.
+        let (s, r, c, heads, ch) = (3usize, 2usize, 4usize, 2usize, 2usize);
+        let hd = heads * ch;
+        let dims = BlockDims {
+            c_m: c,
+            c_z: 3,
+            msa_heads: heads,
+            pair_heads: 1,
+            c_hidden_msa: ch,
+            c_hidden_pair: 2,
+            c_hidden_mul: 2,
+            c_opm: 2,
+            transition_factor: 2,
+            dropout: 0.0,
+            fused: true,
+        };
+        let mut store = ParamStore::new();
+        // Non-trivial LayerNorm and biases, so the reference sees them.
+        store.insert("gc.ln.gamma", Tensor::randn(&[c], 51));
+        store.insert("gc.ln.beta", Tensor::randn(&[c], 52));
+        store.insert("gc.gate.bias", Tensor::randn(&[hd], 53));
+        store.insert("gc.out.bias", Tensor::randn(&[c], 54));
+        let x0 = Tensor::randn(&[s, r, c], 55);
+        let mut g = Graph::new();
+        let x = g.constant(x0.clone());
+        let one = &LocalAxial(1);
+        let out = msa_column_gathered(&mut g, &mut store, &dims, "gc", &[x], true, one).unwrap();
+
+        let p = |name: &str| store.get(&format!("gc.{name}")).unwrap().data().to_vec();
+        // `w` is [out, in], as Linear stores it.
+        let lin = |w: &[f32], b: Option<&[f32]>, v: &[f32]| -> Vec<f32> {
+            (0..w.len() / v.len())
+                .map(|o| {
+                    let dot: f32 = v
+                        .iter()
+                        .enumerate()
+                        .map(|(i, x)| w[o * v.len() + i] * x)
+                        .sum();
+                    dot + b.map_or(0.0, |b| b[o])
+                })
+                .collect()
+        };
+        let (gamma, beta) = (p("ln.gamma"), p("ln.beta"));
+        let ln: Vec<Vec<f32>> = x0
+            .data()
+            .chunks(c)
+            .map(|row| {
+                let mean = row.iter().sum::<f32>() / c as f32;
+                let var = row.iter().map(|v| (v - mean).powi(2)).sum::<f32>() / c as f32;
+                let rstd = 1.0 / (var + 1e-5).sqrt();
+                (0..c)
+                    .map(|i| (row[i] - mean) * rstd * gamma[i] + beta[i])
+                    .collect()
+            })
+            .collect();
+        // Per (sequence, column) row, in [S, R] order.
+        let proj = |w: &[f32], b: Option<&[f32]>| -> Vec<Vec<f32>> {
+            ln.iter().map(|v| lin(w, b, v)).collect()
+        };
+        let (q, k, v) = (
+            proj(&p("q.weight"), None),
+            proj(&p("k.weight"), None),
+            proj(&p("v.weight"), None),
+        );
+        let gate = proj(&p("gate.weight"), Some(&p("gate.bias")));
+        let (wo, bo) = (p("out.weight"), p("out.bias"));
+        let mut expect = x0.clone();
+        for col in 0..r {
+            let row = |i: usize| i * r + col;
+            let mut o = vec![0f32; hd];
+            for h in 0..heads {
+                let hs = h * ch..(h + 1) * ch;
+                let q_mean: Vec<f32> = hs
+                    .clone()
+                    .map(|d| (0..s).map(|i| q[row(i)][d]).sum::<f32>() / s as f32)
+                    .collect();
+                let logits: Vec<f32> = (0..s)
+                    .map(|i| {
+                        let dot: f32 = hs
+                            .clone()
+                            .zip(&q_mean)
+                            .map(|(d, qd)| qd * k[row(i)][d])
+                            .sum();
+                        dot / (ch as f32).sqrt()
+                    })
+                    .collect();
+                let max = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+                let e: Vec<f32> = logits.iter().map(|l| (l - max).exp()).collect();
+                let sum: f32 = e.iter().sum();
+                for d in hs {
+                    o[d] = (0..s).map(|i| e[i] / sum * v[row(i)][d]).sum();
+                }
+            }
+            for i in 0..s {
+                let gated: Vec<f32> = (0..hd)
+                    .map(|d| o[d] / (1.0 + (-gate[row(i)][d]).exp()))
+                    .collect();
+                let update = lin(&wo, Some(&bo), &gated);
+                for (ci, u) in update.iter().enumerate() {
+                    expect
+                        .set(&[i, col, ci], x0.at(&[i, col, ci]).unwrap() + u)
+                        .unwrap();
+                }
+            }
+        }
+        assert!(
+            g.value(out).allclose(&expect, 1e-5),
+            "got {:?}, want {:?}",
+            g.value(out).data(),
+            expect.data()
+        );
+    }
+
+    #[test]
     fn dropout_changes_outputs_but_preserves_shapes() {
         let cfg = ModelConfig::tiny();
         let mut dims = BlockDims::main(&cfg);
@@ -916,9 +1003,9 @@ mod tests {
         let mut store = ParamStore::new();
         let m = g.constant(Tensor::randn(&[cfg.n_seq, cfg.n_res, cfg.c_m], 31).mul_scalar(0.3));
         let z = g.constant(Tensor::randn(&[cfg.n_res, cfg.n_res, cfg.c_z], 32).mul_scalar(0.3));
-        let (m_dry, z_dry) = evoformer_block(&mut g, &mut store, &dims, "d", m, z, false).unwrap();
+        let (m_dry, z_dry) = block1(&mut g, &mut store, &dims, "d", m, z);
         dims.dropout = 0.3;
-        let (m_wet, z_wet) = evoformer_block(&mut g, &mut store, &dims, "d", m, z, false).unwrap();
+        let (m_wet, z_wet) = block1(&mut g, &mut store, &dims, "d", m, z);
         assert_eq!(g.value(m_wet).dims(), g.value(m_dry).dims());
         assert!(!g.value(m_wet).allclose(g.value(m_dry), 1e-7));
         assert!(!g.value(z_wet).allclose(g.value(z_dry), 1e-7));
@@ -926,44 +1013,73 @@ mod tests {
     }
 
     #[test]
-    fn dap_block_matches_unsharded_bitwise() {
-        // With dropout off, the DAP block must reproduce the unsharded
-        // block exactly (forward values), for every rank count dividing
-        // both axes, fused and composed attention alike.
+    fn one_rank_block_is_the_public_modules_in_sequence() {
+        // The block at one rank must be exactly modules 1-9 composed from
+        // the public per-module functions (the ones module probes time):
+        // same forward values, bit for bit, and the same tape.
         for fused in [true, false] {
+            let cfg = ModelConfig::tiny();
+            let mut dims = BlockDims::main(&cfg);
+            dims.fused = fused;
+            let m0 = Tensor::randn(&[cfg.n_seq, cfg.n_res, cfg.c_m], 3).mul_scalar(0.3);
+            let z0 = Tensor::randn(&[cfg.n_res, cfg.n_res, cfg.c_z], 4).mul_scalar(0.3);
+
+            let mut g_blk = Graph::new();
+            let mut store = ParamStore::new();
+            let m = g_blk.constant(m0.clone());
+            let z = g_blk.constant(z0.clone());
+            let (mb, zb) = block1(&mut g_blk, &mut store, &dims, "b", m, z);
+
+            let mut g = Graph::new();
+            let (gr, st, d) = (&mut g, &mut store, &dims);
+            let m = gr.constant(m0);
+            let z = gr.constant(z0);
+            let f = d.transition_factor;
+            let m = msa_row_attention_with_pair_bias(gr, st, d, "b.msa_row", m, z).unwrap();
+            let m = msa_column_attention(gr, st, d, "b.msa_col", m).unwrap();
+            let m = transition(gr, st, d.c_m, f, "b.msa_trans", m).unwrap();
+            let z = outer_product_mean(gr, st, d, "b.opm", m, z).unwrap();
+            let z = triangle_multiplication(gr, st, d, "b.tri_mul_out", z, true).unwrap();
+            let z = triangle_multiplication(gr, st, d, "b.tri_mul_in", z, false).unwrap();
+            let z = triangle_attention(gr, st, d, "b.tri_att_start", z, true).unwrap();
+            let z = triangle_attention(gr, st, d, "b.tri_att_end", z, false).unwrap();
+            let z = transition(gr, st, d.c_z, f, "b.pair_trans", z).unwrap();
+
+            assert_eq!(g.value(m).data(), g_blk.value(mb).data(), "fused={fused}: MSA track");
+            assert_eq!(g.value(z).data(), g_blk.value(zb).data(), "fused={fused}: pair track");
+            assert_eq!(g.len(), g_blk.len(), "fused={fused}: tape node count");
+        }
+    }
+
+    #[test]
+    fn dap_block_matches_unsharded_bitwise() {
+        // With dropout off, the DAP-k block must reproduce the block at
+        // one rank (the unsharded model) exactly (forward values), for
+        // every rank count dividing both axes, fused and composed
+        // attention alike, with full and with global column attention.
+        for (fused, global) in [(true, false), (false, false), (true, true)] {
             let cfg = ModelConfig::tiny();
             let mut dims = BlockDims::main(&cfg);
             dims.fused = fused;
             let m0 = Tensor::randn(&[cfg.n_seq, cfg.n_res, cfg.c_m], 5).mul_scalar(0.3);
             let z0 = Tensor::randn(&[cfg.n_res, cfg.n_res, cfg.c_z], 6).mul_scalar(0.3);
-
-            let mut g_ref = Graph::new();
-            let mut store = ParamStore::new();
-            let m = g_ref.constant(m0.clone());
-            let z = g_ref.constant(z0.clone());
-            let (mr, zr) =
-                evoformer_block(&mut g_ref, &mut store, &dims, "blk", m, z, false).unwrap();
-            let (m_ref, z_ref) = (g_ref.value(mr).clone(), g_ref.value(zr).clone());
-
-            for k in [1usize, 2, 4] {
+            let run = |k: usize| {
                 let mut g = Graph::new();
-                let mut store_k = ParamStore::new();
+                let mut store = ParamStore::new();
                 let m = g.constant(m0.clone());
                 let z = g.constant(z0.clone());
-                let dap = crate::dap::LocalAxial(k);
+                let dap = LocalAxial(k);
                 let (mk, zk) =
-                    evoformer_block_dap(&mut g, &mut store_k, &dims, "blk", m, z, false, &dap)
+                    evoformer_block(&mut g, &mut store, &dims, "blk", m, z, false, global, &dap)
                         .unwrap();
-                assert_eq!(
-                    g.value(mk).data(),
-                    m_ref.data(),
-                    "fused={fused} k={k}: MSA track diverged"
-                );
-                assert_eq!(
-                    g.value(zk).data(),
-                    z_ref.data(),
-                    "fused={fused} k={k}: pair track diverged"
-                );
+                (g.value(mk).clone(), g.value(zk).clone())
+            };
+            let (m_ref, z_ref) = run(1);
+            for k in [1usize, 2, 4] {
+                let (mk, zk) = run(k);
+                let tag = format!("fused={fused} global={global} k={k}");
+                assert_eq!(mk.data(), m_ref.data(), "{tag}: MSA track diverged");
+                assert_eq!(zk.data(), z_ref.data(), "{tag}: pair track diverged");
             }
         }
     }
@@ -971,25 +1087,20 @@ mod tests {
     #[test]
     fn dap_block_gradients_match_unsharded() {
         // Weight gradients accumulate per-rank (summed by name), so they
-        // match the unsharded single-GEMM reduction to fp tolerance.
+        // match the one-rank single-GEMM reduction to fp tolerance.
         let cfg = ModelConfig::tiny();
         let dims = BlockDims::main(&cfg);
         let m0 = Tensor::randn(&[cfg.n_seq, cfg.n_res, cfg.c_m], 8).mul_scalar(0.3);
         let z0 = Tensor::randn(&[cfg.n_res, cfg.n_res, cfg.c_z], 9).mul_scalar(0.3);
 
-        let run = |k: Option<usize>| {
+        let run = |k: usize, global: bool| {
             let mut g = Graph::new();
             let mut store = ParamStore::new();
             let m = g.constant(m0.clone());
             let z = g.constant(z0.clone());
-            let (m2, z2) = match k {
-                None => evoformer_block(&mut g, &mut store, &dims, "b", m, z, false).unwrap(),
-                Some(k) => {
-                    let dap = crate::dap::LocalAxial(k);
-                    evoformer_block_dap(&mut g, &mut store, &dims, "b", m, z, false, &dap)
-                        .unwrap()
-                }
-            };
+            let dap = LocalAxial(k);
+            let (m2, z2) =
+                evoformer_block(&mut g, &mut store, &dims, "b", m, z, false, global, &dap).unwrap();
             // O(1)-scale loss (like the real training losses) so the 1e-5
             // equivalence tolerance is meaningful.
             let lm = g.mean_all(m2).unwrap();
@@ -998,20 +1109,23 @@ mod tests {
             g.backward(loss).unwrap();
             g.grads_by_name().unwrap()
         };
-        let g_ref = run(None);
-        for k in [1usize, 2, 4] {
-            let g_k = run(Some(k));
-            assert_eq!(g_ref.len(), g_k.len(), "k={k}: parameter set differs");
-            for (name, gr) in &g_ref {
-                // Elementwise |a-b| <= 1e-5 (+relative): the contract's
-                // tolerance. Differences come only from per-rank gradient
-                // accumulation order (and pure-cancellation residues like
-                // the pair-bias LN beta, whose true gradient is ~0 since a
-                // uniform logit shift leaves softmax invariant).
-                assert!(
-                    gr.allclose(&g_k[name], 1e-5),
-                    "k={k}: gradient mismatch at {name}"
-                );
+        for global in [false, true] {
+            let g_ref = run(1, global);
+            for k in [1usize, 2, 4] {
+                let g_k = run(k, global);
+                assert_eq!(g_ref.len(), g_k.len(), "k={k}: parameter set differs");
+                for (name, gr) in &g_ref {
+                    // Elementwise |a-b| <= 1e-5 (+relative): the contract's
+                    // tolerance. Differences come only from per-rank
+                    // gradient accumulation order (and pure-cancellation
+                    // residues like the pair-bias LN beta, whose true
+                    // gradient is ~0 since a uniform logit shift leaves
+                    // softmax invariant).
+                    assert!(
+                        gr.allclose(&g_k[name], 1e-5),
+                        "k={k} global={global}: gradient mismatch at {name}"
+                    );
+                }
             }
         }
     }
@@ -1023,7 +1137,7 @@ mod tests {
         let mut g = Graph::new();
         let mut store = ParamStore::new();
         let z = g.constant(Tensor::randn(&[cfg.n_res, cfg.n_res, cfg.c_t], 9).mul_scalar(0.2));
-        let z2 = pair_block(&mut g, &mut store, &dims, "tpl", z).unwrap();
+        let z2 = pair_block(&mut g, &mut store, &dims, "tpl", z, false, &LocalAxial(1)).unwrap();
         assert_eq!(g.value(z2).dims(), g.value(z).dims());
         assert!(!g.value(z2).has_non_finite());
     }

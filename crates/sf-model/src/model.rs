@@ -5,8 +5,8 @@ use crate::config::ModelConfig;
 use crate::embed::{
     extra_msa_stack, input_embedder, recycling_embedder, template_pair_stack, RecycledState,
 };
-use crate::dap::AxialCollectives;
-use crate::evoformer::{evoformer_block, evoformer_block_dap, BlockDims};
+use crate::dap::{AxialCollectives, LocalAxial};
+use crate::evoformer::{evoformer_block, BlockDims};
 use crate::features::FeatureBatch;
 use crate::loss::{total_loss, LossBreakdown};
 use crate::structure::structure_module;
@@ -87,14 +87,14 @@ impl AlphaFold {
         self.forward_dap(g, store, batch, None)
     }
 
-    /// [`AlphaFold::forward`] under **Dynamic Axial Parallelism**: when an
-    /// executor is supplied, every main-stack Evoformer block runs as
-    /// [`evoformer_block_dap`] — axial attentions on activation shards,
-    /// axis switches through the executor's real all-to-all / all-gather.
-    /// The extra-MSA and template stacks stay unsharded (their axial
-    /// dimensions are the model's smallest; FastFold likewise applies DAP
-    /// to the main Evoformer). `None` (or a 1-rank executor) reproduces
-    /// the plain forward exactly.
+    /// [`AlphaFold::forward`] under **Dynamic Axial Parallelism**: every
+    /// main-stack Evoformer block runs as [`evoformer_block`] over `dap` —
+    /// axial attentions on activation shards, axis switches through the
+    /// executor's all-to-all / all-gather. `None` runs the same blocks at
+    /// one rank ([`LocalAxial`]`(1)`), which is the unsharded model and
+    /// communicates nothing. The extra-MSA and template stacks always run
+    /// at one rank (their axial dimensions are the model's smallest;
+    /// FastFold likewise applies DAP to the main Evoformer).
     ///
     /// # Errors
     ///
@@ -107,6 +107,7 @@ impl AlphaFold {
         batch: &FeatureBatch,
         dap: Option<&dyn AxialCollectives>,
     ) -> Result<ModelOutput> {
+        let dap = dap.unwrap_or(&LocalAxial(1));
         let mut prev: Option<RecycledState> = None;
         // Warm (no-grad) recycling iterations on throwaway tapes. DAP
         // shards these too: every recycling iteration pays the same
@@ -151,7 +152,7 @@ impl AlphaFold {
         store: &mut ParamStore,
         batch: &FeatureBatch,
         prev: Option<&RecycledState>,
-        dap: Option<&dyn AxialCollectives>,
+        dap: &dyn AxialCollectives,
     ) -> Result<(Var, Var, Var, Var)> {
         let cfg = &self.cfg;
         let (mut m, mut z) = input_embedder(g, store, cfg, batch)?;
@@ -177,19 +178,8 @@ impl AlphaFold {
         let dims = BlockDims::main(cfg);
         for i in 0..cfg.evoformer_blocks {
             let prefix = format!("evoformer.block{i}");
-            let (m2, z2) = match dap {
-                Some(dap) if dap.ranks() > 1 => evoformer_block_dap(
-                    g,
-                    store,
-                    &dims,
-                    &prefix,
-                    m,
-                    z,
-                    cfg.gradient_checkpointing,
-                    dap,
-                )?,
-                _ => evoformer_block(g, store, &dims, &prefix, m, z, cfg.gradient_checkpointing)?,
-            };
+            let ckpt = cfg.gradient_checkpointing;
+            let (m2, z2) = evoformer_block(g, store, &dims, &prefix, m, z, ckpt, false, dap)?;
             m = m2;
             z = z2;
         }

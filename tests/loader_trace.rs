@@ -42,7 +42,7 @@ fn traced_run(kind: LoaderKind) -> (PhaseReport, sf_trace::Trace) {
 #[test]
 fn nonblocking_pipeline_hides_straggler_blocking_loader_does_not() {
     let _g = lock();
-    let (blocking, _) = traced_run(LoaderKind::Blocking);
+    let (blocking, blocking_trace) = traced_run(LoaderKind::Blocking);
     let (nonblocking, _) = traced_run(LoaderKind::NonBlocking);
 
     let b = blocking.data_wait_share();
@@ -63,19 +63,28 @@ fn nonblocking_pipeline_hides_straggler_blocking_loader_does_not() {
         b > 5.0 * n.max(1e-6),
         "blocking share {b:.4} must dwarf non-blocking share {n:.4}"
     );
-    // The stall is attributable to a single step. Even the blocking
-    // loader's workers prepare ahead, so the compute of the steps before
-    // the straggler overlaps part of its delay — but well under half of
-    // it at this model size.
-    let max_wait = blocking
-        .steps
+    // The stall lands in the data wait of the step that takes the
+    // straggler. How much of the delay the workers' read-ahead overlaps
+    // with earlier steps' compute depends on timing; that this step is
+    // already waiting when the straggler's `prepare` span ends, and waits
+    // until then, does not.
+    let slow = blocking_trace
+        .events
         .iter()
-        .map(|s| s.phase_us[0])
-        .max()
-        .unwrap_or(0);
+        .find(|e| e.name == "prepare" && e.arg("index") == Some(SLOW_SAMPLE as f64))
+        .expect("the straggler's prepare span must be traced");
+    let (slow_done, slow_position) = (slow.end_us(), slow.arg("position"));
+    let wait = blocking_trace
+        .events
+        .iter()
+        .find(|e| e.cat == "data_wait" && e.arg("position") == slow_position)
+        .expect("a step must take the straggler");
     assert!(
-        max_wait as f64 >= 0.5 * DELAY.as_micros() as f64,
-        "the straggler's delay must land in one step's data_wait: {max_wait} us"
+        wait.ts_us <= slow_done && wait.end_us() >= slow_done,
+        "the straggler's data wait ({} us .. {} us) must contain the end of its \
+         preparation at {slow_done} us",
+        wait.ts_us,
+        wait.end_us()
     );
 }
 
