@@ -1,9 +1,11 @@
 //! The training engine: a *functional* data-parallel trainer with real
 //! replicas, real gradient all-reduce (the ring algorithm from
 //! `sf_cluster::collective`) and global-norm clipping — the algorithms the
-//! cluster simulator prices, run for correctness at CPU scale. Its
-//! [`DataParallelTrainer::train_step`] is the only training step in the
-//! crate: [`crate::Trainer`] is the one-replica case of this engine.
+//! cluster simulator prices, run for correctness at CPU scale. It owns the
+//! only training step ([`DataParallelTrainer::train_step`]), the only
+//! training loop ([`DataParallelTrainer::train`]: the data pipeline, the
+//! recovery log) and checkpointing; [`crate::Trainer`] is the one-replica
+//! case of this engine.
 //!
 //! The key invariants this module demonstrates (and tests):
 //!
@@ -19,17 +21,22 @@
 //!   data-parallel axis exactly as before.
 
 use crate::dap::{DapGroup, DapStats};
-use crate::trainer::TrainerConfig;
-use sf_autograd::{Graph, ParamStore};
+use crate::trainer::{LoaderKind, RecoveryEvent, ResumeSummary, StepReport, TrainerConfig};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use sf_autograd::{CheckpointError, Graph, ParamStore};
 use sf_cluster::collective::all_reduce_tensors;
 use sf_data::featurize::featurize;
+use sf_data::loader::{BlockingLoader, Dataset, LoaderConfig, LoaderError, NonBlockingPipeline};
 use sf_data::SyntheticDataset;
-use sf_faults::{FaultInjector, FaultPlan};
-use sf_model::loss::LossBreakdown;
+use sf_faults::{FaultInjector, FaultPlan, FaultyDataset};
+use sf_model::metrics::lddt_ca;
 use sf_model::{AlphaFold, AxialCollectives, FeatureBatch, ModelConfig};
 use sf_optim::{clip_by_global_norm, FusedAdamSwa, Grads};
 use sf_tensor::bf16::Precision;
 use sf_tensor::Tensor;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Per-step report of a data-parallel training step.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,32 +61,49 @@ pub struct DpStepReport {
     /// skip together — the decision is made on the identical averaged
     /// gradients — so synchrony is preserved.
     pub skipped: bool,
+    /// Replica 0's view of the step, as a single device reports it: its
+    /// own loss terms and lDDT-Cα, and the learning rate.
+    pub replica0: StepReport,
 }
 
-/// What a step leaves beyond its [`DpStepReport`]: replica 0's loss terms
-/// and predicted coordinates, and the learning rate the step used — the
-/// extra fields of a single-device [`crate::StepReport`].
-pub(crate) struct ReplicaZero {
-    pub(crate) loss: LossBreakdown,
-    pub(crate) coords: Tensor,
-    pub(crate) lr: f32,
+/// The training corpus: synthetic records, featurized by the loader's
+/// workers.
+struct FeaturizingDataset {
+    records: SyntheticDataset,
+    cfg: ModelConfig,
+    seed: u64,
 }
 
-/// A `k`-replica data-parallel trainer sharing one model architecture.
+impl Dataset for FeaturizingDataset {
+    type Item = FeatureBatch;
+
+    fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    fn prepare(&self, index: usize) -> FeatureBatch {
+        featurize(&self.records.record(index), &self.cfg, self.seed ^ index as u64)
+    }
+}
+
+/// A `k`-replica data-parallel trainer with its own data loader and checkpoints.
 pub struct DataParallelTrainer {
-    pub(crate) cfg: TrainerConfig,
-    pub(crate) model: AlphaFold,
+    cfg: TrainerConfig,
+    model: AlphaFold,
     /// One parameter store per replica (kept deliberately separate so the
     /// divergence invariant is *measured*, not assumed).
-    pub(crate) stores: Vec<ParamStore>,
-    pub(crate) optimizers: Vec<FusedAdamSwa>,
-    pub(crate) step: u64,
+    stores: Vec<ParamStore>,
+    optimizers: Vec<FusedAdamSwa>,
+    step: u64,
     /// Shared DAP executor: replicas run sequentially on a CPU, so one
     /// group serves the whole grid and accumulates total traffic. At
     /// `cfg.dap <= 1` it is the 1-rank group, which never communicates.
     dap_group: DapGroup,
     dap_comm: DapStats,
-    pub(crate) injector: FaultInjector,
+    injector: FaultInjector,
+    /// Draws each epoch's shuffle.
+    rng: StdRng,
+    recovery: Vec<RecoveryEvent>,
 }
 
 impl DataParallelTrainer {
@@ -96,10 +120,13 @@ impl DataParallelTrainer {
         DataParallelTrainer::with_faults(cfg, ranks, FaultPlan::none())
     }
 
-    /// Like [`DataParallelTrainer::new`], with a fault schedule:
-    /// NaN-gradient faults fire on replica 0 before the all-reduce, so the
-    /// poison propagates to every replica's averaged gradients — the
-    /// worst-case large-scale failure the skip guard must absorb.
+    /// Like [`DataParallelTrainer::new`], with a fault schedule: worker
+    /// panics and stragglers fire inside the data pipeline of
+    /// [`DataParallelTrainer::train`], and NaN-gradient faults fire on
+    /// replica 0 before the all-reduce, so the poison propagates to every
+    /// replica's averaged gradients — the worst-case large-scale failure
+    /// the skip guard must absorb. Inspect
+    /// [`DataParallelTrainer::recovery_log`] afterwards.
     ///
     /// The configuration is normalized here: `cfg.num_threads > 0` pins
     /// the `sf-tensor` compute pool, and `cfg.fused_kernels = false`
@@ -115,18 +142,16 @@ impl DataParallelTrainer {
         if let Err(msg) = DapGroup::validate_config(&cfg.model, cfg.dap) {
             panic!("{msg}");
         }
-        let model = AlphaFold::new(cfg.model.clone());
-        let optimizers = (0..ranks)
-            .map(|_| FusedAdamSwa::new(cfg.adam, cfg.swa_decay))
-            .collect();
         DataParallelTrainer {
-            model,
+            model: AlphaFold::new(cfg.model.clone()),
             stores: vec![ParamStore::new(); ranks],
-            optimizers,
+            optimizers: vec![FusedAdamSwa::new(cfg.adam, cfg.swa_decay); ranks],
             step: 0,
             dap_group: DapGroup::new(cfg.dap),
             dap_comm: DapStats::default(),
             injector: FaultInjector::new(plan),
+            rng: StdRng::seed_from_u64(cfg.seed),
+            recovery: Vec::new(),
             cfg,
         }
     }
@@ -134,6 +159,16 @@ impl DataParallelTrainer {
     /// Number of replicas.
     pub fn ranks(&self) -> usize {
         self.stores.len()
+    }
+
+    /// The normalized configuration.
+    pub(crate) fn cfg(&self) -> &TrainerConfig {
+        &self.cfg
+    }
+
+    /// The model architecture every replica runs.
+    pub(crate) fn model(&self) -> &AlphaFold {
+        &self.model
     }
 
     /// Cumulative DAP communication over all steps and replicas (zero when
@@ -147,6 +182,22 @@ impl DataParallelTrainer {
         &self.stores[rank]
     }
 
+    /// Optimizer steps taken.
+    pub fn step_count(&self) -> u64 {
+        self.step
+    }
+
+    /// The fault injector driving this trainer (no-op for
+    /// [`DataParallelTrainer::new`]).
+    pub fn injector(&self) -> &FaultInjector {
+        &self.injector
+    }
+
+    /// Every fault survived so far, in order.
+    pub fn recovery_log(&self) -> &[RecoveryEvent] {
+        &self.recovery
+    }
+
     /// One synchronous data-parallel step: each replica computes gradients
     /// on its own batch, gradients are ring-all-reduced (mean), global-norm
     /// clipping applies to the averaged gradients, and every replica takes
@@ -158,15 +209,6 @@ impl DataParallelTrainer {
     /// configuration (call [`FeatureBatch::validate`] upstream) — both
     /// programming errors rather than recoverable conditions.
     pub fn train_step(&mut self, batches: &[FeatureBatch]) -> DpStepReport {
-        self.step_with_outputs(batches).0
-    }
-
-    /// [`DataParallelTrainer::train_step`], also returning replica 0's
-    /// outputs.
-    pub(crate) fn step_with_outputs(
-        &mut self,
-        batches: &[FeatureBatch],
-    ) -> (DpStepReport, ReplicaZero) {
         assert_eq!(batches.len(), self.ranks(), "one batch per replica");
         // Per-replica forward/backward; each replica shards its own sample
         // across the DAP axis (the replicas form the DP axis of the grid).
@@ -231,35 +273,109 @@ impl DataParallelTrainer {
         }
         drop(opt_span);
         self.step += 1;
+        if !finite {
+            self.recovery.push(RecoveryEvent::NonFiniteSkipped { step: self.step });
+        }
 
         let (loss, coords) = replica_zero.expect("at least one replica");
-        let report = DpStepReport {
+        let lddt = {
+            let _metric = sf_trace::span("eval", "lddt");
+            lddt_ca(&coords, &batches[0].true_coords, &batches[0].residue_mask)
+        };
+        let grad_norm = if finite { norm } else { f32::NAN };
+        DpStepReport {
             step: self.step,
             mean_loss,
-            grad_norm: if finite { norm } else { f32::NAN },
+            grad_norm,
             elements_all_reduced,
             elements_dap: step_comm.total_elements(),
             max_replica_divergence: self.max_divergence(),
             skipped: !finite,
-        };
-        (report, ReplicaZero { loss, coords, lr })
+            replica0: StepReport {
+                step: self.step,
+                loss: loss.total,
+                distance_loss: loss.distance,
+                grad_norm,
+                lddt,
+                lr,
+                skipped: !finite,
+            },
+        }
     }
 
-    /// Trains `steps` steps on deterministic synthetic batches (replica `r`
-    /// sees sample `step * ranks + r`).
+    /// Trains for `steps` steps, streaming `cfg.dataset_len` synthetic
+    /// samples through the `cfg.loader` pipeline's `cfg.loader_workers`
+    /// threads, shuffled anew each epoch. Every step takes the next
+    /// `ranks` samples, one per replica; an epoch's remainder is dropped.
+    ///
+    /// Data faults do not abort the run: a sample whose preparation keeps
+    /// panicking is recorded in [`DataParallelTrainer::recovery_log`] and
+    /// skipped, and training continues on the remaining samples. An epoch
+    /// that completes no step ends the run early.
     pub fn train(&mut self, steps: u64) -> Vec<DpStepReport> {
-        let ds = SyntheticDataset::new(self.cfg.seed ^ 0xD0, 64);
-        let mut out = Vec::with_capacity(steps as usize);
-        for s in 0..steps {
-            let batches: Vec<FeatureBatch> = (0..self.ranks())
-                .map(|r| {
-                    let idx = (s as usize * self.ranks() + r) % ds.len();
-                    featurize(&ds.record(idx), &self.cfg.model, self.cfg.seed ^ idx as u64)
-                })
-                .collect();
-            out.push(self.train_step(&batches));
+        let records = SyntheticDataset::new(self.cfg.seed ^ 0xDA7A, self.cfg.dataset_len);
+        let dataset = Arc::new(FaultyDataset::new(
+            FeaturizingDataset {
+                records: records.clone(),
+                cfg: self.cfg.model.clone(),
+                seed: self.cfg.seed,
+            },
+            self.injector.clone(),
+        ));
+        let mut reports = Vec::with_capacity(steps as usize);
+        while (reports.len() as u64) < steps {
+            let order = records.epoch_order(self.rng.gen::<u64>());
+            let loader_cfg = LoaderConfig::with_workers(self.cfg.loader_workers);
+            type BatchItem = Result<(usize, FeatureBatch), LoaderError>;
+            let mut loader: Box<dyn Iterator<Item = BatchItem>> = match self.cfg.loader {
+                LoaderKind::NonBlocking => Box::new(NonBlockingPipeline::new(
+                    Arc::clone(&dataset),
+                    order,
+                    loader_cfg,
+                )),
+                LoaderKind::Blocking => {
+                    Box::new(BlockingLoader::new(Arc::clone(&dataset), order, loader_cfg))
+                }
+            };
+            let epoch_start = reports.len();
+            let mut batches = Vec::with_capacity(self.ranks());
+            let mut step_span = None;
+            while (reports.len() as u64) < steps {
+                // One umbrella span per optimizer step, covering the data
+                // waits (recorded by the loader inside `next()`) and the
+                // train phases — the unit the phase report attributes.
+                let next = self.step + 1;
+                step_span.get_or_insert_with(|| sf_trace::span("step", "step").arg("step", next as f64));
+                match loader.next() {
+                    None => break,
+                    Some(Ok((_, batch))) => {
+                        batches.push(batch);
+                        if batches.len() == self.ranks() {
+                            reports.push(self.train_step(&batches));
+                            batches.clear();
+                            step_span = None;
+                        }
+                    }
+                    Some(Err(error)) => {
+                        if batches.is_empty() {
+                            if let Some(span) = step_span.take() {
+                                span.cancel(); // no optimizer step under way
+                            }
+                        }
+                        self.recovery.push(RecoveryEvent::DataFault { error });
+                    }
+                }
+            }
+            if let Some(span) = step_span {
+                span.cancel(); // end-of-epoch probe, not a step
+            }
+            if reports.len() == epoch_start {
+                // No step completed this epoch: no progress is possible, so
+                // stop instead of spinning on a fully poisoned dataset.
+                break;
+            }
         }
-        out
+        reports
     }
 
     /// Maximum absolute parameter difference between replica 0 and the
@@ -277,6 +393,103 @@ impl DataParallelTrainer {
             }
         }
         max
+    }
+
+    /// Saves the current weights to `path` (see
+    /// `sf_autograd::checkpoint_io` for the format). Used for the MLPerf
+    /// "initialized from predefined checkpoint" setting. Replicas hold the
+    /// same weights, so replica 0's are saved.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`CheckpointError`] on I/O failure.
+    pub fn save_checkpoint(&self, path: impl AsRef<Path>) -> Result<(), CheckpointError> {
+        let _ckpt = sf_trace::span("checkpoint", "save");
+        self.stores[0].save_file(path)
+    }
+
+    /// Restores every replica's weights from a checkpoint produced by
+    /// [`DataParallelTrainer::save_checkpoint`]. Optimizer moments, the
+    /// SWA average and the step counter reset (matching the MLPerf
+    /// benchmark, which restarts the optimizer from the published
+    /// weights).
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`CheckpointError`] if the file is missing or malformed.
+    pub fn load_checkpoint(&mut self, path: impl AsRef<Path>) -> Result<(), CheckpointError> {
+        self.restore(ParamStore::load_file(path)?, 0);
+        Ok(())
+    }
+
+    /// Saves the current weights into `dir` as `ckpt-<step>.sfck`, the
+    /// layout [`DataParallelTrainer::resume_latest`] scans. The write is
+    /// atomic (temp file + rename), so a crash mid-save never leaves a
+    /// torn checkpoint under the final name.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`CheckpointError`] on I/O failure.
+    pub fn save_checkpoint_step(&self, dir: impl AsRef<Path>) -> Result<PathBuf, CheckpointError> {
+        let _ckpt = sf_trace::span("checkpoint", "save_step").arg("step", self.step as f64);
+        let dir = dir.as_ref();
+        std::fs::create_dir_all(dir).map_err(CheckpointError::Io)?;
+        let path = dir.join(format!("ckpt-{:08}.sfck", self.step));
+        self.stores[0].save_file(&path)?;
+        Ok(path)
+    }
+
+    /// Restores every replica's weights from the newest *valid* checkpoint
+    /// in `dir`, falling back past files that fail CRC verification or
+    /// cannot be parsed (bit rot, torn writes). Returns `Ok(None)` when the
+    /// directory holds no checkpoints at all.
+    ///
+    /// On success the step counter is restored from the file name, so
+    /// training resumes with the schedule where the checkpoint left off.
+    /// A checkpoint holds weights only, so optimizer moments and the SWA
+    /// average restart.
+    ///
+    /// # Errors
+    ///
+    /// Returns the last [`CheckpointError`] when checkpoints exist but
+    /// every one of them is corrupt.
+    pub fn resume_latest(
+        &mut self,
+        dir: impl AsRef<Path>,
+    ) -> Result<Option<ResumeSummary>, CheckpointError> {
+        let _ckpt = sf_trace::span("checkpoint", "resume");
+        let Some(latest) = ParamStore::load_latest_valid(dir)? else {
+            return Ok(None);
+        };
+        self.restore(latest.store, latest.step.unwrap_or(self.step));
+        self.recovery.push(RecoveryEvent::Resumed {
+            path: latest.path.clone(),
+            step: latest.step,
+            skipped_files: latest.skipped.len(),
+        });
+        Ok(Some(ResumeSummary {
+            path: latest.path,
+            step: latest.step,
+            skipped: latest.skipped,
+        }))
+    }
+
+    /// Writes `store` into every replica with fresh optimizers at `step`.
+    fn restore(&mut self, store: ParamStore, step: u64) {
+        self.stores.fill(store);
+        self.optimizers.fill(FusedAdamSwa::new(self.cfg.adam, self.cfg.swa_decay));
+        self.step = step;
+    }
+
+    /// The weights evaluation runs on: the SWA average, or the live
+    /// weights before the first optimizer step.
+    pub fn eval_store(&self) -> ParamStore {
+        let store = self.optimizers[0].swa_store();
+        if store.is_empty() {
+            self.stores[0].clone()
+        } else {
+            store
+        }
     }
 }
 
@@ -327,7 +540,14 @@ mod tests {
         let mut cfg = TrainerConfig::tiny();
         cfg.model = dp_test_model();
         cfg.schedule.warmup_steps = 2;
+        // One worker delivers in sampler order, so two runs see the same
+        // batches (several workers deliver whichever is ready first).
+        cfg.loader_workers = 1;
         cfg
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|x| x.to_bits()).collect()
     }
 
     #[test]
@@ -429,7 +649,6 @@ mod tests {
     /// off and at f32 and bf16 gradient precision.
     #[test]
     fn single_replica_dp_equals_trainer_bitwise() {
-        let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for fused in [true, false] {
             for precision in [Precision::F32, Precision::Bf16] {
                 let mut cfg = dp_cfg();
@@ -521,5 +740,75 @@ mod tests {
 
         let r2 = dp.train(1).pop().expect("one report");
         assert!(!r2.skipped, "training resumes after the skip");
+    }
+
+    /// The grid's loop survives a sample whose preparation always panics:
+    /// the fault is logged and training continues on the other samples.
+    #[test]
+    fn grid_train_survives_worker_panic() {
+        let mut cfg = dp_cfg();
+        cfg.dataset_len = 5;
+        let plan = FaultPlan::none().with_worker_panic(1);
+        let mut dp = DataParallelTrainer::with_faults(cfg, 2, plan);
+        // Four healthy samples make two steps an epoch, so three steps
+        // consume the failed slot of the first epoch.
+        let reports = dp.train(3);
+        assert_eq!(reports.len(), 3);
+        assert!(reports.iter().all(|r| r.mean_loss.is_finite() && !r.skipped));
+        assert!(dp
+            .recovery_log()
+            .iter()
+            .any(|e| matches!(e, RecoveryEvent::DataFault { .. })));
+    }
+
+    /// The grid's loop draws its samples from the `cfg.dataset_len`-sample
+    /// corpus, `ranks` per step: a two-sample corpus makes one two-replica
+    /// step per epoch, on exactly those samples, and a one-sample corpus
+    /// makes none.
+    #[test]
+    fn grid_train_draws_from_the_dataset_len_corpus() {
+        let mut cfg = dp_cfg();
+        cfg.dataset_len = 2;
+        let ds = SyntheticDataset::new(cfg.seed ^ 0xDA7A, 2);
+        let corpus: Vec<FeatureBatch> = (0..2)
+            .map(|i| featurize(&ds.record(i), &cfg.model, cfg.seed ^ i as u64))
+            .collect();
+        // The mean of two losses does not depend on the replica order.
+        let want = DataParallelTrainer::new(cfg.clone(), 2).train_step(&corpus);
+        let mut dp = DataParallelTrainer::new(cfg.clone(), 2);
+        let reports = dp.train(3);
+        assert_eq!(reports.len(), 3);
+        assert_eq!(reports[0].mean_loss.to_bits(), want.mean_loss.to_bits());
+
+        cfg.dataset_len = 1;
+        let mut starved = DataParallelTrainer::new(cfg, 2);
+        assert!(starved.train(2).is_empty());
+        assert_eq!(starved.step_count(), 0);
+    }
+
+    /// `resume_latest` writes the checkpoint into every replica: the step
+    /// and all weights come back bit for bit, and the replicas agree.
+    #[test]
+    fn grid_resume_latest_restores_every_replica() {
+        let dir = std::env::temp_dir().join(format!("sf_grid_resume_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut dp = DataParallelTrainer::new(dp_cfg(), 2);
+        let _ = dp.train(2);
+        dp.save_checkpoint_step(&dir).expect("save");
+
+        let mut fresh = DataParallelTrainer::new(dp_cfg(), 2);
+        let summary = fresh.resume_latest(&dir).expect("resume").expect("found");
+        assert_eq!(summary.step, Some(2));
+        assert_eq!(fresh.step_count(), 2);
+        assert_eq!(fresh.max_divergence(), 0.0);
+        for rank in 0..2 {
+            assert_eq!(fresh.store(rank).len(), dp.store(0).len());
+            for (name, p) in dp.store(0).iter() {
+                let q = fresh.store(rank).get(name).expect("restored parameter");
+                assert_eq!(bits(p), bits(q), "replica {rank}: {name}");
+            }
+        }
+        assert!(matches!(fresh.recovery_log(), [RecoveryEvent::Resumed { .. }]));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

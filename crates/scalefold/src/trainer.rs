@@ -1,31 +1,27 @@
-//! The real training loop: actual gradient descent on the actual AlphaFold
-//! model (tiny scale), wired through the non-blocking data pipeline and the
-//! fused Adam+SWA optimizer — every algorithm from the paper, executing for
-//! real.
+//! The single-device trainer, the one-replica case of the
+//! [`DataParallelTrainer`] engine: actual gradient descent on the actual
+//! AlphaFold model (tiny scale), fed by the non-blocking data pipeline and
+//! the fused Adam+SWA optimizer — every algorithm from the paper.
 //!
 //! The loop is fault-tolerant: data-worker failures surface as
 //! [`RecoveryEvent`]s instead of crashes, non-finite gradients skip the
 //! optimizer update (the large-scale fp16 failure mode of §3.4), and
-//! [`Trainer::resume_latest`] restarts from the newest checkpoint that
-//! passes CRC verification. Faults can be injected deterministically with
-//! an `sf_faults::FaultPlan` to drill all of this end to end.
+//! `resume_latest` restarts from the newest checkpoint that passes CRC
+//! verification. Faults can be injected deterministically with an
+//! `sf_faults::FaultPlan` to drill all of this end to end.
 
-use crate::dap::DapStats;
 use crate::distributed::DataParallelTrainer;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use sf_autograd::{CheckpointError, Graph, ParamStore};
+use sf_autograd::{Graph, ParamStore};
 use sf_data::featurize::featurize;
-use sf_data::loader::{BlockingLoader, Dataset, LoaderConfig, LoaderError, NonBlockingPipeline};
+use sf_data::loader::LoaderError;
 use sf_data::SyntheticDataset;
-use sf_faults::{FaultInjector, FaultPlan, FaultyDataset};
+use sf_faults::FaultPlan;
 use sf_model::metrics::lddt_ca;
 use sf_model::{AlphaFold, FeatureBatch, ModelConfig};
 use sf_optim::{AdamConfig, LrSchedule};
 use sf_tensor::bf16::Precision;
-use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::path::PathBuf;
 
 /// Which data pipeline feeds [`Trainer::train`].
 ///
@@ -76,14 +72,9 @@ pub struct TrainerConfig {
     /// Evoformer's axial activations across this many simulated ranks,
     /// moving them with the real ring collectives. `0` or `1` disables
     /// DAP; the model's `n_seq` and `n_res` must divide evenly.
-    #[serde(default = "default_dap")]
     pub dap: usize,
     /// RNG seed.
     pub seed: u64,
-}
-
-fn default_dap() -> usize {
-    1
 }
 
 impl TrainerConfig {
@@ -110,7 +101,7 @@ impl TrainerConfig {
             loader: LoaderKind::NonBlocking,
             num_threads: 0,
             fused_kernels: true,
-            dap: default_dap(),
+            dap: 1,
             seed: 7,
         }
     }
@@ -187,7 +178,7 @@ impl std::fmt::Display for RecoveryEvent {
     }
 }
 
-/// Outcome of [`Trainer::resume_latest`].
+/// Outcome of [`DataParallelTrainer::resume_latest`].
 #[derive(Debug)]
 pub struct ResumeSummary {
     /// File the weights were restored from.
@@ -198,27 +189,11 @@ pub struct ResumeSummary {
     pub skipped: Vec<(PathBuf, String)>,
 }
 
-struct FeaturizingDataset {
-    records: SyntheticDataset,
-    cfg: ModelConfig,
-    seed: u64,
-}
-
-impl Dataset for FeaturizingDataset {
-    type Item = FeatureBatch;
-
-    fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    fn prepare(&self, index: usize) -> FeatureBatch {
-        featurize(&self.records.record(index), &self.cfg, self.seed ^ index as u64)
-    }
-}
-
-/// The real trainer: the one-replica case of [`DataParallelTrainer`],
-/// plus what only a single device has — the data pipeline, the recovery
-/// log, checkpoints and evaluation.
+/// The real trainer: the one-replica case of [`DataParallelTrainer`].
+/// Its steps report what a single device sees ([`StepReport`]: loss terms
+/// and lDDT-Cα), and it evaluates the SWA weights. Everything else — the
+/// recovery log, checkpoints, the fault injector, DAP traffic — is the
+/// engine's, reached through `Deref`.
 ///
 /// # Example
 ///
@@ -232,11 +207,24 @@ impl Dataset for FeaturizingDataset {
 /// let reports = trainer.train(2);
 /// assert_eq!(reports.len(), 2);
 /// assert!(reports.iter().all(|r| r.loss.is_finite()));
+/// assert_eq!(trainer.step_count(), 2);
 /// ```
 pub struct Trainer {
     engine: DataParallelTrainer,
-    rng: StdRng,
-    recovery: Vec<RecoveryEvent>,
+}
+
+impl std::ops::Deref for Trainer {
+    type Target = DataParallelTrainer;
+
+    fn deref(&self) -> &DataParallelTrainer {
+        &self.engine
+    }
+}
+
+impl std::ops::DerefMut for Trainer {
+    fn deref_mut(&mut self) -> &mut DataParallelTrainer {
+        &mut self.engine
+    }
 }
 
 impl Trainer {
@@ -248,7 +236,8 @@ impl Trainer {
     /// Creates a trainer that injects the faults of `plan` while training —
     /// worker panics and stragglers fire inside the data pipeline,
     /// NaN-gradient steps fire in [`Trainer::train_step`]. The run must
-    /// survive all of them; inspect [`Trainer::recovery_log`] afterwards.
+    /// survive all of them; inspect
+    /// [`DataParallelTrainer::recovery_log`] afterwards.
     ///
     /// # Panics
     ///
@@ -256,43 +245,14 @@ impl Trainer {
     /// divide evenly across the DAP ranks (see
     /// [`crate::DapGroup::validate_config`]).
     pub fn with_faults(cfg: TrainerConfig, plan: FaultPlan) -> Self {
-        let rng = StdRng::seed_from_u64(cfg.seed);
         Trainer {
             engine: DataParallelTrainer::with_faults(cfg, 1, plan),
-            rng,
-            recovery: Vec::new(),
         }
-    }
-
-    fn cfg(&self) -> &TrainerConfig {
-        &self.engine.cfg
     }
 
     /// The parameter store (inspect or checkpoint weights).
     pub fn store(&self) -> &ParamStore {
         self.engine.store(0)
-    }
-
-    /// Steps taken.
-    pub fn step_count(&self) -> u64 {
-        self.engine.step
-    }
-
-    /// The fault injector driving this trainer (no-op for [`Trainer::new`]).
-    pub fn injector(&self) -> &FaultInjector {
-        &self.engine.injector
-    }
-
-    /// Every fault survived so far, in order.
-    pub fn recovery_log(&self) -> &[RecoveryEvent] {
-        &self.recovery
-    }
-
-    /// Cumulative DAP communication over all steps so far (zero when
-    /// `cfg.dap <= 1`). One step's volume is
-    /// [`crate::dap::analytic_comm_volume`].
-    pub fn dap_comm(&self) -> DapStats {
-        self.engine.dap_comm()
     }
 
     /// Runs one optimization step on `batch`.
@@ -303,177 +263,15 @@ impl Trainer {
     /// [`FeatureBatch::validate`] upstream) or an internal op fails — both
     /// indicate programming errors rather than recoverable conditions.
     pub fn train_step(&mut self, batch: &FeatureBatch) -> StepReport {
-        let (report, out) = self.engine.step_with_outputs(std::slice::from_ref(batch));
-        if report.skipped {
-            self.recovery
-                .push(RecoveryEvent::NonFiniteSkipped { step: report.step });
-        }
-        let lddt = {
-            let _metric = sf_trace::span("eval", "lddt");
-            lddt_ca(&out.coords, &batch.true_coords, &batch.residue_mask)
-        };
-        StepReport {
-            step: report.step,
-            loss: out.loss.total,
-            distance_loss: out.loss.distance,
-            grad_norm: report.grad_norm,
-            lddt,
-            lr: out.lr,
-            skipped: report.skipped,
-        }
+        self.engine.train_step(std::slice::from_ref(batch)).replica0
     }
 
-    /// Trains for `steps` steps, streaming batches through the real
-    /// non-blocking pipeline (threads and all).
-    ///
-    /// Data faults do not abort the run: a sample whose preparation keeps
-    /// panicking is recorded in [`Trainer::recovery_log`] and skipped, and
-    /// training continues on the remaining samples.
+    /// Trains for `steps` steps through the engine's loop
+    /// ([`DataParallelTrainer::train`]): the real non-blocking pipeline,
+    /// threads and all, surviving data faults.
     pub fn train(&mut self, steps: u64) -> Vec<StepReport> {
-        let cfg = self.cfg().clone();
-        let dataset = Arc::new(FaultyDataset::new(
-            FeaturizingDataset {
-                records: SyntheticDataset::new(cfg.seed ^ 0xDA7A, cfg.dataset_len),
-                cfg: cfg.model.clone(),
-                seed: cfg.seed,
-            },
-            self.injector().clone(),
-        ));
-        let mut reports = Vec::with_capacity(steps as usize);
-        'outer: loop {
-            let epoch = self.rng.gen::<u64>();
-            let order =
-                SyntheticDataset::new(cfg.seed ^ 0xDA7A, cfg.dataset_len).epoch_order(epoch);
-            let loader_cfg = LoaderConfig::with_workers(cfg.loader_workers);
-            type BatchItem = Result<(usize, FeatureBatch), LoaderError>;
-            let mut loader: Box<dyn Iterator<Item = BatchItem>> = match cfg.loader {
-                LoaderKind::NonBlocking => Box::new(NonBlockingPipeline::new(
-                    Arc::clone(&dataset),
-                    order,
-                    loader_cfg,
-                )),
-                LoaderKind::Blocking => {
-                    Box::new(BlockingLoader::new(Arc::clone(&dataset), order, loader_cfg))
-                }
-            };
-            let mut epoch_steps = 0u64;
-            loop {
-                // One umbrella span per optimizer step, covering the data
-                // wait (recorded by the loader inside `next()`) and the
-                // train phases — the unit the phase report attributes.
-                let step_span =
-                    sf_trace::span("step", "step").arg("step", (self.step_count() + 1) as f64);
-                let Some(item) = loader.next() else {
-                    step_span.cancel(); // end-of-epoch probe, not a step
-                    break;
-                };
-                match item {
-                    Ok((_, batch)) => {
-                        reports.push(self.train_step(&batch));
-                        epoch_steps += 1;
-                        if reports.len() as u64 >= steps {
-                            break 'outer;
-                        }
-                    }
-                    Err(error) => {
-                        step_span.cancel(); // no optimizer step happened
-                        self.recovery.push(RecoveryEvent::DataFault { error });
-                    }
-                }
-            }
-            if epoch_steps == 0 {
-                // Every sample of the epoch failed: no progress is possible,
-                // so stop instead of spinning on a fully poisoned dataset.
-                break;
-            }
-        }
-        reports
-    }
-
-    /// Saves the current weights to `path` (see
-    /// `sf_autograd::checkpoint_io` for the format). Used for the MLPerf
-    /// "initialized from predefined checkpoint" setting.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`sf_autograd::CheckpointError`] on I/O failure.
-    pub fn save_checkpoint(
-        &self,
-        path: impl AsRef<std::path::Path>,
-    ) -> Result<(), sf_autograd::CheckpointError> {
-        let _ckpt = sf_trace::span("checkpoint", "save");
-        self.store().save_file(path)
-    }
-
-    /// Restores weights from a checkpoint produced by
-    /// [`Trainer::save_checkpoint`]. Optimizer moments and the step counter
-    /// reset (matching the MLPerf benchmark, which restarts the optimizer
-    /// from the published weights).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`sf_autograd::CheckpointError`] if the file is missing or
-    /// malformed.
-    pub fn load_checkpoint(
-        &mut self,
-        path: impl AsRef<std::path::Path>,
-    ) -> Result<(), sf_autograd::CheckpointError> {
-        self.engine.stores[0] = ParamStore::load_file(path)?;
-        Ok(())
-    }
-
-    /// Saves the current weights into `dir` as `ckpt-<step>.sfck`, the
-    /// layout [`Trainer::resume_latest`] scans. The write is atomic
-    /// (temp file + rename), so a crash mid-save never leaves a torn
-    /// checkpoint under the final name.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CheckpointError`] on I/O failure.
-    pub fn save_checkpoint_step(&self, dir: impl AsRef<Path>) -> Result<PathBuf, CheckpointError> {
-        let step = self.step_count();
-        let _ckpt = sf_trace::span("checkpoint", "save_step").arg("step", step as f64);
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir).map_err(CheckpointError::Io)?;
-        let path = dir.join(format!("ckpt-{step:08}.sfck"));
-        self.store().save_file(&path)?;
-        Ok(path)
-    }
-
-    /// Restores weights from the newest *valid* checkpoint in `dir`,
-    /// falling back past files that fail CRC verification or cannot be
-    /// parsed (bit rot, torn writes). Returns `Ok(None)` when the
-    /// directory holds no checkpoints at all.
-    ///
-    /// On success the step counter is restored from the file name, so
-    /// training resumes with the schedule where the checkpoint left off.
-    ///
-    /// # Errors
-    ///
-    /// Returns the last [`CheckpointError`] when checkpoints exist but
-    /// every one of them is corrupt.
-    pub fn resume_latest(
-        &mut self,
-        dir: impl AsRef<Path>,
-    ) -> Result<Option<ResumeSummary>, CheckpointError> {
-        let _ckpt = sf_trace::span("checkpoint", "resume");
-        let Some(latest) = ParamStore::load_latest_valid(dir)? else {
-            return Ok(None);
-        };
-        self.engine.stores[0] = latest.store;
-        if let Some(step) = latest.step {
-            self.engine.step = step;
-        }
-        self.recovery.push(RecoveryEvent::Resumed {
-            path: latest.path.clone(),
-            step: latest.step,
-            skipped_files: latest.skipped.len(),
-        });
-        Ok(Some(ResumeSummary {
-            path: latest.path,
-            step: latest.step,
-            skipped: latest.skipped,
-        }))
+        let reports = self.engine.train(steps);
+        reports.into_iter().map(|r| r.replica0).collect()
     }
 
     /// Builds the in-memory evaluation cache (§3.4's "cached all evaluation
@@ -488,7 +286,7 @@ impl Trainer {
     /// only the per-pass featurization cost disappears.
     pub fn evaluate_cached(&self, cache: &[FeatureBatch]) -> f32 {
         let _eval = sf_trace::span("eval", "evaluate_cached").arg("samples", cache.len() as f64);
-        mean_lddt(&self.engine.model, self.eval_store(), cache)
+        mean_lddt(self.model(), self.eval_store(), cache)
     }
 
     /// Asynchronous evaluation (§3.4): snapshots the SWA weights and runs
@@ -498,7 +296,7 @@ impl Trainer {
     /// handle for the score.
     pub fn evaluate_async(&self, n: usize) -> std::thread::JoinHandle<f32> {
         let store = self.eval_store();
-        let model = self.engine.model.clone();
+        let model = self.model().clone();
         let seed = self.cfg().seed;
         std::thread::spawn(move || {
             let _eval = sf_trace::span("eval", "evaluate_async").arg("samples", n as f64);
@@ -510,17 +308,6 @@ impl Trainer {
     /// SWA-averaged weights (as the MLPerf recipe evaluates).
     pub fn evaluate(&self, n: usize) -> f32 {
         self.evaluate_cached(&self.build_eval_cache(n))
-    }
-
-    /// The weights evaluation runs on: the SWA average, or the live
-    /// weights before the first optimizer step.
-    fn eval_store(&self) -> ParamStore {
-        let store = self.engine.optimizers[0].swa_store();
-        if store.is_empty() {
-            self.store().clone()
-        } else {
-            store
-        }
     }
 }
 
@@ -548,6 +335,7 @@ fn mean_lddt(model: &AlphaFold, mut store: ParamStore, batches: &[FeatureBatch])
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DapStats;
 
     fn fast_cfg() -> TrainerConfig {
         let mut cfg = TrainerConfig::tiny();
@@ -596,6 +384,8 @@ mod tests {
         assert_eq!(reports.len(), 3);
         assert_eq!(t.step_count(), 3);
         assert!(reports.iter().all(|r| r.loss.is_finite()));
+        assert!(t.train(0).is_empty());
+        assert_eq!(t.step_count(), 3);
     }
 
     #[test]
@@ -698,6 +488,26 @@ mod tests {
             .forward(&mut g2, &mut fresh.store().clone(), &batch)
             .expect("fwd");
         assert_eq!(o1.loss_breakdown.total, o2.loss_breakdown.total);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A load restarts training from the file: the step counter and the
+    /// optimizer (moments and SWA average) reset, so evaluation scores the
+    /// loaded weights exactly as a fresh trainer loaded from that file.
+    #[test]
+    fn load_checkpoint_resets_step_and_optimizer() {
+        let path = std::env::temp_dir().join(format!("sf_load_reset_{}.sfck", std::process::id()));
+        let mut source = Trainer::new(fast_cfg());
+        let _ = source.train(2);
+        source.save_checkpoint(&path).expect("save");
+
+        let mut t = Trainer::new(fast_cfg());
+        let _ = t.train(3);
+        t.load_checkpoint(&path).expect("load");
+        let mut fresh = Trainer::new(fast_cfg());
+        fresh.load_checkpoint(&path).expect("load");
+        assert_eq!(t.step_count(), 0);
+        assert_eq!(t.evaluate(2), fresh.evaluate(2));
         let _ = std::fs::remove_file(&path);
     }
 

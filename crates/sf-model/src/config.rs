@@ -75,7 +75,6 @@ pub struct ModelConfig {
     /// attention-softmax-gate kernel (`attention_fused`). Disable
     /// (`--no-fused`) to fall back to the composed
     /// scale→bias→softmax→gate op chain for A/B comparison and debugging.
-    #[serde(default)]
     pub fused_kernels: bool,
 }
 

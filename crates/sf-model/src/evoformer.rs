@@ -263,13 +263,12 @@ fn msa_column_gathered(
         dap_axis_switch(g, dap, rows)?
     };
     let mut out = Vec::with_capacity(cols.len());
-    for (rank, &sh) in cols.iter().enumerate() {
+    for &sh in &cols {
         let ln = layer_norm(g, store, &format!("{prefix}.ln"), dims.c_m, sh)?;
-        out.push(if global {
-            let att = global_column_attention(g, store, dims, prefix, ln)?;
-            dropout_residual(g, dims, prefix, rank, sh, att)?
+        let att = if global {
+            global_column_attention(g, store, dims, prefix, ln)?
         } else {
-            let att = gated_axis_attention(
+            gated_axis_attention(
                 g,
                 store,
                 prefix,
@@ -279,10 +278,11 @@ fn msa_column_gathered(
                 dims.msa_heads,
                 dims.c_hidden_msa,
                 dims.fused,
-            )?;
-            // AlphaFold applies no dropout to full column attention.
-            g.add(sh, att)?
-        });
+            )?
+        };
+        // AlphaFold applies no dropout to column attention, full or global
+        // (Algorithms 6 and 18).
+        out.push(g.add(sh, att)?);
     }
     if global {
         return dap_all_gather_axis1(g, dap, &out);
@@ -993,6 +993,26 @@ mod tests {
             g.value(out).data(),
             expect.data()
         );
+    }
+
+    /// The extra-MSA stack's global column attention has no dropout
+    /// (Algorithm 18), so its stage output does not depend on `dropout`.
+    #[test]
+    fn global_column_attention_ignores_dropout() {
+        let cfg = ModelConfig::tiny();
+        let mut dims = BlockDims::extra(&cfg);
+        let x0 = Tensor::randn(&[cfg.n_extra_seq, cfg.n_res, dims.c_m], 41);
+        let mut store = ParamStore::new();
+        let mut run = |dims: &BlockDims| {
+            let mut g = Graph::new();
+            let x = g.constant(x0.clone());
+            let one = &LocalAxial(1);
+            let out = msa_column_gathered(&mut g, &mut store, dims, "gc", &[x], true, one).unwrap();
+            g.value(out).clone()
+        };
+        let dry = run(&dims);
+        dims.dropout = 0.5;
+        assert_eq!(run(&dims).data(), dry.data());
     }
 
     #[test]

@@ -21,12 +21,7 @@ pub struct LrSchedule {
     /// `peak_lr * decay_factor^(i + 1)` — a compounding step decay.
     /// `0` disables compounding (a single decay at `decay_after`, the
     /// pre-fix behaviour).
-    #[serde(default = "default_decay_every")]
     pub decay_every: u64,
-}
-
-fn default_decay_every() -> u64 {
-    50_000
 }
 
 impl Default for LrSchedule {
@@ -36,7 +31,7 @@ impl Default for LrSchedule {
             warmup_steps: 1000,
             decay_after: 50_000,
             decay_factor: 0.95,
-            decay_every: default_decay_every(),
+            decay_every: 50_000,
         }
     }
 }
